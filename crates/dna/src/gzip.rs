@@ -25,7 +25,7 @@
 use std::io;
 use std::ops::Range;
 
-use crate::DnaError;
+use crate::{crc32, DnaError};
 
 /// Gzip magic bytes.
 const MAGIC: [u8; 2] = [0x1f, 0x8b];
@@ -42,32 +42,6 @@ fn bad(msg: impl std::fmt::Display) -> DnaError {
 /// Whether `data` starts with the gzip magic bytes.
 pub fn is_gzip(data: &[u8]) -> bool {
     data.len() >= 2 && data[..2] == MAGIC
-}
-
-/// CRC-32 (IEEE, reflected) — the gzip trailer checksum.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc_table();
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
 }
 
 /// Parsed gzip member header: total header length and, when the member

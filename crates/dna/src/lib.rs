@@ -13,6 +13,8 @@
 //! * [`SeqRead`] plus streaming FASTA/FASTQ parsers and writers.
 //! * [`simd`] — runtime-dispatched word-parallel packing kernels and the
 //!   `PARAHASH_FORCE_SCALAR` escape hatch gating every vector path.
+//! * [`crc32`] — the one CRC-32 every checksummed format in the system
+//!   uses (gzip trailers, partition frames, subgraphs, journal, wire).
 //! * [`gzip`] + [`InputBytes`] + [`FastqSliceReader`] — the
 //!   memory-mapped, record-chunked input layer behind parallel FASTQ
 //!   ingest.
@@ -30,6 +32,7 @@
 //! ```
 
 mod base;
+mod crc;
 mod cursor;
 mod error;
 mod fasta;
@@ -43,6 +46,7 @@ mod read;
 pub mod simd;
 
 pub use base::Base;
+pub use crc::crc32;
 pub use cursor::CanonicalKmerCursor;
 pub use error::DnaError;
 pub use fasta::{FastaReader, FastaWriter};

@@ -19,9 +19,11 @@
 //! ([`PartitionSlices::index_framed`](crate::PartitionSlices::index_framed))
 //! still borrows straight out of the loaded file buffer.
 //!
-//! The checksum is CRC-32/ISO-HDLC (the zlib/PNG polynomial), implemented
-//! locally — the container has no crc crate and none is needed for ~20
-//! lines of table-driven code.
+//! The checksum is CRC-32/ISO-HDLC (the zlib/PNG polynomial). It lives in
+//! the leaf crate as [`dna::crc32`], the one CRC every checksummed format
+//! in the system shares; it is re-exported here as `msp::crc32`.
+
+pub use dna::crc32;
 
 use crate::{MspError, Result};
 
@@ -32,41 +34,6 @@ pub const FRAME_HEADER_LEN: usize = 8;
 /// enough that framing overhead is ~0.01%, small enough that a corrupt
 /// frame localises the damage.
 pub const DEFAULT_FRAME_TARGET: usize = 64 << 10;
-
-const CRC_TABLE: [u32; 256] = make_crc_table();
-
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            bit += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32/ISO-HDLC of `bytes` (polynomial `0xEDB88320`, init/final
-/// complement) — the same variant zlib and PNG use.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(msp::crc32(b""), 0);
-/// assert_eq!(msp::crc32(b"123456789"), 0xCBF4_3926); // the standard check value
-/// ```
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 /// Appends one frame (header + payload) to `out`. Empty payloads are
 /// skipped — a zero-length frame carries no information.
@@ -224,13 +191,6 @@ pub fn deframe_in(bytes: &[u8], partition: Option<usize>) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
 
     #[test]
     fn roundtrip_multiple_frames() {

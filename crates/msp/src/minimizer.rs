@@ -2,6 +2,7 @@ use std::collections::VecDeque;
 
 use dna::{CanonicalKmerCursor, Kmer, PackedSeq};
 
+use crate::view::CodeWords;
 use crate::{MspError, Result};
 
 /// Computes the minimizer of a single k-mer: the lexicographically minimal
@@ -384,6 +385,45 @@ impl MinimizerCursor {
     }
 }
 
+/// [`minimizer_of_kmer`] of the k-mer spelled by the first `k` codes of
+/// `codes`, for `p ≤ 32`, rolled in one `u64` straight from the packed
+/// payload words — the single-window instance of
+/// [`MinimizerCursor::scan_runs_fast`]'s two-shift forward/reverse-
+/// complement update. The canonical minimizer of a k-mer is the minimum
+/// over its p-mer positions of `min(pmer, revcomp(pmer))`, because the
+/// p-mers of the reverse-complement k-mer are exactly the reverse
+/// complements of the forward p-mers; so one pass over `k` codes and
+/// one integer compare per p-mer recover it, with no owned k-mer, no
+/// sub-k-mers and no `revcomp` copy.
+///
+/// The caller guarantees `1 ≤ p ≤ min(k, 32)` and that `codes` holds at
+/// least `k` codes (a validated [`SuperkmerView`](crate::SuperkmerView)
+/// core does).
+pub(crate) fn leading_minimizer_u64(mut codes: CodeWords<'_>, k: usize, p: usize) -> Kmer {
+    debug_assert!((1..=32).contains(&p) && p <= k, "k={k} p={p}");
+    // Same MSB-aligned layout as the scan: the p-mer occupies the top
+    // 2p bits and `p = 32` makes the mask a no-op `!0`.
+    let shift = 64 - 2 * p;
+    let pmask = !0u64 << shift;
+    let mut fwd = 0u64;
+    let mut rc = 0u64;
+    let mut best = u64::MAX;
+    let mut chunk = 0u64;
+    for i in 0..k {
+        if i % 32 == 0 {
+            chunk = codes.next_chunk();
+        }
+        let code = chunk & 3;
+        chunk >>= 2;
+        fwd = (fwd << 2) | (code << shift);
+        rc = ((rc >> 2) & pmask) | ((code ^ 3) << 62);
+        if i + 1 >= p {
+            best = best.min(fwd.min(rc));
+        }
+    }
+    Kmer::from_words([best, 0, 0, 0], p).expect("p-mer tail bits are zero")
+}
+
 /// Minimum p-mer in every length-`window` window of p-mer positions, via a
 /// monotone deque. Returns one entry per window, i.e.
 /// `len − p + 1 − window + 1` values.
@@ -628,6 +668,30 @@ mod tests {
                     collect_runs(&mut generic, &read),
                     "k={k} p={p} read={r}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn leading_minimizer_matches_brute_force() {
+        use crate::{encode_superkmer, Superkmer, SuperkmerView};
+        let shapes = [(1, 1), (27, 11), (31, 31), (32, 32), (33, 32), (70, 17)];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for (k, p) in shapes {
+            for _ in 0..25 {
+                let mut read = PackedSeq::new();
+                for _ in 0..k + 3 {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    read.push(dna::Base::from_code((state >> 40) as u8));
+                }
+                let want = minimizer_of_kmer(&read.kmer_at(0, k).unwrap(), p);
+                let mut buf = Vec::new();
+                encode_superkmer(&Superkmer::new(read, want, k, None, None), &mut buf);
+                let (view, _) = SuperkmerView::parse(&buf, k).unwrap();
+                let got = leading_minimizer_u64(view.code_words(), k, p);
+                assert_eq!(got, want, "k={k} p={p}");
             }
         }
     }

@@ -29,7 +29,7 @@
 use dna::Kmer;
 
 use crate::frame::{append_frame, frame_payloads_in, DEFAULT_FRAME_TARGET};
-use crate::minimizer::minimizer_of_kmer;
+use crate::minimizer::{leading_minimizer_u64, minimizer_of_kmer};
 use crate::view::SuperkmerView;
 use crate::{MspError, Result};
 
@@ -79,7 +79,12 @@ pub fn sub_route(minimizer: &Kmer, fanout: usize) -> usize {
 /// The per-record minimizer is recomputed from the record's first k-mer
 /// — the same recovery [`SuperkmerView::to_superkmer`] performs — which
 /// is valid because a superkmer's minimizer is by construction the
-/// canonical minimizer of each of its k-mers, the first included.
+/// canonical minimizer of each of its k-mers, the first included. For
+/// `p ≤ 32` it is rolled in one `u64` straight from the record's packed
+/// payload words (the single-word minimizer scan's update, over one
+/// window); wider minimizers fall back to [`minimizer_of_kmer`] on the
+/// decoded first k-mer. Both yield the same minimizer, so the routing
+/// is the same.
 ///
 /// # Errors
 ///
@@ -107,13 +112,18 @@ pub fn split_framed(
         while offset < payload.len() {
             let (view, consumed) =
                 SuperkmerView::parse(&payload[offset..], k).map_err(|e| relocate(e, base_offset))?;
-            let first = Kmer::from_bases(k, view.bases().take(k)).map_err(|e| {
-                MspError::CorruptRecord {
-                    offset: base_offset + offset as u64,
-                    reason: format!("undecodable first k-mer: {e}"),
-                }
-            })?;
-            let sub = sub_route(&minimizer_of_kmer(&first, p), fanout);
+            let minimizer = if p <= 32 {
+                leading_minimizer_u64(view.code_words(), k, p)
+            } else {
+                let first = Kmer::from_bases(k, view.bases().take(k)).map_err(|e| {
+                    MspError::CorruptRecord {
+                        offset: base_offset + offset as u64,
+                        reason: format!("undecodable first k-mer: {e}"),
+                    }
+                })?;
+                minimizer_of_kmer(&first, p)
+            };
+            let sub = sub_route(&minimizer, fanout);
             pending[sub].extend_from_slice(&payload[offset..offset + consumed]);
             if pending[sub].len() >= DEFAULT_FRAME_TARGET {
                 append_frame(&mut subs[sub].bytes, &pending[sub]);
@@ -162,15 +172,16 @@ mod tests {
         read
     }
 
-    /// Builds a framed buffer of superkmer records from random reads,
-    /// returning the framed bytes and each record's encoding.
-    fn framed_corpus(seed: u64, reads: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
-        let scanner = SuperkmerScanner::new(K, P).unwrap();
+    /// Builds a framed buffer of `(k, p)` superkmer records from random
+    /// reads of `k + 33` bases, returning the framed bytes and each
+    /// record's encoding.
+    fn framed_corpus(seed: u64, reads: usize, k: usize, p: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let scanner = SuperkmerScanner::new(k, p).unwrap();
         let mut records = Vec::new();
         let mut framed = Vec::new();
         let mut pending = Vec::new();
         for r in 0..reads {
-            let read = lcg_read(seed + r as u64, 40);
+            let read = lcg_read(seed + r as u64, k + 33);
             for sk in scanner.scan(&read) {
                 let mut rec = Vec::new();
                 encode_superkmer(&sk, &mut rec);
@@ -200,7 +211,7 @@ mod tests {
 
     #[test]
     fn fanout_one_is_identity_in_content() {
-        let (framed, records) = framed_corpus(7, 20);
+        let (framed, records) = framed_corpus(7, 20, K, P);
         let subs = split_framed(&framed, K, P, 1, 0).unwrap();
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].superkmers, records.len() as u64);
@@ -211,7 +222,7 @@ mod tests {
 
     #[test]
     fn split_partitions_records_exactly() {
-        let (framed, records) = framed_corpus(11, 60);
+        let (framed, records) = framed_corpus(11, 60, K, P);
         for fanout in [2usize, 3, 8] {
             let subs = split_framed(&framed, K, P, fanout, 0).unwrap();
             assert_eq!(subs.len(), fanout);
@@ -231,7 +242,7 @@ mod tests {
 
     #[test]
     fn kmer_tallies_are_preserved() {
-        let (framed, _) = framed_corpus(23, 40);
+        let (framed, _) = framed_corpus(23, 40, K, P);
         let mut expect = 0u64;
         for payload in frame_payloads_in(&framed, None).unwrap() {
             for view in iter_views(payload, K) {
@@ -244,22 +255,35 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_minimizer_pure() {
-        let (framed, _) = framed_corpus(31, 30);
-        let a = split_framed(&framed, K, P, 4, 0).unwrap();
-        let b = split_framed(&framed, K, P, 4, 0).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.bytes, y.bytes);
-        }
-        // Records sharing a minimizer land together: verify by routing
-        // each record's recomputed minimizer directly.
-        for (idx, sub) in a.iter().enumerate() {
-            for payload in frame_payloads_in(&sub.bytes, None).unwrap() {
-                for view in iter_views(payload, K) {
-                    let view = view.unwrap();
-                    let first = Kmer::from_bases(K, view.bases().take(K)).unwrap();
-                    assert_eq!(sub_route(&minimizer_of_kmer(&first, P), 4), idx);
+        // (7,3) and (27,11) are small and default shapes; (31,31) and
+        // (32,32) put the p-mer at the `p = 32` mask edge; (33,32) makes
+        // the first k-mer span two payload words; (40,33) takes the
+        // `p > 32` fallback.
+        for (k, p) in [(7, 3), (27, 11), (31, 31), (32, 32), (33, 32), (40, 33)] {
+            let (framed, records) = framed_corpus(31, 30, k, p);
+            let a = split_framed(&framed, k, p, 4, 0).unwrap();
+            let b = split_framed(&framed, k, p, 4, 0).unwrap();
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.bytes, y.bytes, "k={k} p={p}");
+            }
+            // Records sharing a minimizer land together: verify by routing
+            // each record's oracle minimizer directly.
+            let mut routed = 0;
+            for (idx, sub) in a.iter().enumerate() {
+                for payload in frame_payloads_in(&sub.bytes, None).unwrap() {
+                    for view in iter_views(payload, k) {
+                        let view = view.unwrap();
+                        let first = Kmer::from_bases(k, view.bases().take(k)).unwrap();
+                        assert_eq!(
+                            sub_route(&minimizer_of_kmer(&first, p), 4),
+                            idx,
+                            "k={k} p={p}"
+                        );
+                        routed += 1;
+                    }
                 }
             }
+            assert_eq!(routed, records.len(), "k={k} p={p}");
         }
     }
 
@@ -287,7 +311,7 @@ mod tests {
 
     #[test]
     fn corrupt_frame_is_attributed_to_the_partition() {
-        let (mut framed, _) = framed_corpus(5, 10);
+        let (mut framed, _) = framed_corpus(5, 10, K, P);
         let mid = framed.len() / 2;
         framed[mid] ^= 0xFF;
         let err = split_framed(&framed, K, P, 2, 9).unwrap_err();

@@ -47,7 +47,7 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use hashgraph::DeBruijnGraph;
@@ -470,32 +470,21 @@ fn run_worker_loop(endpoint: &Endpoint, worker: usize) -> Result<()> {
 /// flight, so the parent can tell a slow worker (pulsing) from a hung
 /// one (silent). Dropping the ticker stops *and joins* the thread —
 /// the reply that follows a build must never interleave with a pulse.
+/// The thread waits out each period on a channel; dropping the ticker
+/// disconnects it, which wakes the thread at once.
 struct HeartbeatTicker {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeartbeatTicker {
     fn start(mut sender: Box<dyn FrameSender>, worker: usize, period: Duration) -> HeartbeatTicker {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
             let pulse = WireMsg::Heartbeat(worker).encode();
-            loop {
-                // Sleep the period in short slices so a finished build
-                // reclaims this thread promptly.
-                let mut slept = Duration::ZERO;
-                while slept < period {
-                    if flag.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let slice = Duration::from_millis(10).min(period - slept);
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-                if flag.load(Ordering::SeqCst) {
-                    return;
-                }
+            // One pulse per full period of silence; a disconnect (the
+            // ticker dropped) ends the loop at once.
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
                 if sender.send(&pulse).is_err() {
                     // Dead socket: the main loop's next send/recv will
                     // notice and reconnect; pulsing is pointless.
@@ -503,13 +492,13 @@ impl HeartbeatTicker {
                 }
             }
         });
-        HeartbeatTicker { stop, handle: Some(handle) }
+        HeartbeatTicker { stop: Some(stop), handle: Some(handle) }
     }
 }
 
 impl Drop for HeartbeatTicker {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        drop(self.stop.take());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -560,12 +549,18 @@ fn serve_session(
     let (mut config, fingerprint, wire) = config_from_blob(&blob)?;
     let manifest = if wire {
         // Remote worker: the parent's filesystem does not exist here.
-        // Build in a per-run scratch directory named by the run
-        // fingerprint, so concurrent runs (or stale leftovers) don't
-        // collide; payloads land under `superkmers/` exactly as the
+        // Build in a scratch directory named by the run fingerprint, the
+        // worker id and this process's id. The fingerprint alone is not
+        // unique: two concurrent runs over the same input share it, and
+        // one run's clean exit would delete the other's staged
+        // partitions. Payloads land under `superkmers/` exactly as the
         // partition store would have written them.
-        let scratch = std::env::temp_dir()
-            .join(format!("parahash-remote-{}-w{}", fingerprint.token(), sess.worker));
+        let scratch = std::env::temp_dir().join(format!(
+            "parahash-remote-{}-w{}-{}",
+            fingerprint.token(),
+            sess.worker,
+            std::process::id()
+        ));
         std::fs::create_dir_all(scratch.join("superkmers"))?;
         std::fs::create_dir_all(scratch.join("subgraphs"))?;
         config.work_dir = scratch;

@@ -643,10 +643,8 @@ impl<'a> Step2Shared<'a> {
         }
     }
 
-    /// The output stage: absorb (and optionally persist) the subgraph.
-    /// Failure sentinels are skipped outright — an error partition must
-    /// never leave a bogus `sub-XXXXX.dbg` behind or leak empty entries
-    /// into the merged graph.
+    /// The output stage: persist (when configured) and absorb the
+    /// subgraph. See [`commit`](Self::commit) for what is skipped.
     fn consume(
         &self,
         io: &ThrottledIo,
@@ -654,9 +652,19 @@ impl<'a> Step2Shared<'a> {
         idx: usize,
         out: Option<Part2Out>,
     ) {
-        let Some(out) = out else {
-            return;
-        };
+        if let Some(subgraph) = self.commit(io, idx, out) {
+            graph.absorb(subgraph);
+        }
+    }
+
+    /// Tallies one build's counters and, when subgraphs are persisted,
+    /// commits and journals its file. Returns the subgraph for the
+    /// caller to absorb, or `None` when there is nothing to absorb.
+    /// Failure sentinels are skipped outright — an error partition must
+    /// never leave a bogus `sub-XXXXX.dbg` behind or leak empty entries
+    /// into the merged graph.
+    fn commit(&self, io: &ThrottledIo, idx: usize, out: Option<Part2Out>) -> Option<SubGraph> {
+        let out = out?;
         self.total_contention.lock().merge(&out.contention);
         self.total_resizes.fetch_add(out.resizes, Ordering::Relaxed);
         if self.config.write_subgraphs {
@@ -669,7 +677,7 @@ impl<'a> Step2Shared<'a> {
                 .and_then(|()| io.commit_file(&path, &bytes));
             if let Err(e) = committed {
                 self.partition_failed(idx, ParaHashError::Io(e));
-                return; // quarantined partitions stay out of the graph
+                return None; // quarantined partitions stay out of the graph
             }
             // The journal record is written strictly *after* the rename:
             // `subgraph-committed` in the journal implies the file is
@@ -678,11 +686,11 @@ impl<'a> Step2Shared<'a> {
             if let Some(journal) = self.journal {
                 if let Err(e) = journal.append(&JournalEvent::SubgraphCommitted(idx)) {
                     self.fatal(e);
-                    return;
+                    return None;
                 }
             }
         }
-        graph.absorb(out.subgraph);
+        Some(out.subgraph)
     }
 
     /// Turns the accumulated counters into the step report — or, on the
@@ -803,8 +811,9 @@ pub(crate) fn build_and_commit_partition(
     let shared = Step2Shared::new(config, &cancel, journal)?;
     let bytes = io.read_file(path).map_err(ParaHashError::Io)?;
     let (out, _) = shared.build(config.devices()[0].as_ref(), idx, &bytes, n_kmers);
-    let mut graph = DeBruijnGraph::new(config.k);
-    shared.consume(io, &mut graph, idx, out);
+    // The committed file is the result; nothing here reads the graph,
+    // so the subgraph is persisted and journaled, never absorbed.
+    shared.commit(io, idx, out);
     if let Some(e) = shared.first_error.into_inner() {
         return Err(e);
     }

@@ -22,12 +22,12 @@
 //! # Wire format
 //!
 //! Every message is one frame: `u32 len LE | u32 crc32 LE | payload`,
-//! the same framing as the superkmer partition files (independently
-//! implemented here — this crate sits *below* `msp` in the dependency
-//! order). Zero-length frames are rejected outright; a frame longer
-//! than the receiver's cap ([`MAX_FRAME`] for control traffic,
-//! [`MAX_PAYLOAD_FRAME`] while expecting a shipped partition or
-//! subgraph) is a protocol violation naming the offending size.
+//! the same framing and the same CRC ([`wire_crc32`], which is
+//! [`dna::crc32`]) as the superkmer partition files. Zero-length
+//! frames are rejected outright; a frame longer than the receiver's cap
+//! ([`MAX_FRAME`] for control traffic, [`MAX_PAYLOAD_FRAME`] while
+//! expecting a shipped partition or subgraph) is a protocol violation
+//! naming the offending size.
 //!
 //! A *control* payload is UTF-8 text, first line the message tag
 //! (protocol version [`PROTO_VERSION`]):
@@ -93,21 +93,11 @@ pub const MAX_PAYLOAD_FRAME: u32 = 1 << 30;
 /// First byte of every blob frame (see the module docs).
 pub const BLOB_TAG: u8 = 0x00;
 
-/// CRC32 (ISO-HDLC, the zlib polynomial) — bitwise, no table. Wire
-/// messages are tens of bytes and blob CRCs are off the hot path;
-/// simplicity beats throughput here. Kept local because `pipeline`
-/// must not depend on `msp` (the dependency points the other way).
-pub fn wire_crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The frame checksum: CRC-32/ISO-HDLC, the same [`dna::crc32`] that
+/// checksums partition frames, subgraphs and the journal. Every control
+/// frame and every shipped partition or subgraph blob passes through it
+/// on both ends of the wire.
+pub use dna::crc32 as wire_crc32;
 
 /// How long an armed `shard.net.delay` failpoint stalls the send.
 fn net_delay() -> Duration {
