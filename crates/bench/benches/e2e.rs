@@ -10,7 +10,7 @@
 //! * **`table_pool/*`** — the pooling ablation in isolation: what the
 //!   pool actually saves is the table *lifecycle*, so the two arms
 //!   measure exactly that — allocate+initialise+drop a fresh
-//!   `ConcurrentDbgTable` vs checkout (memset reset of a recycled
+//!   `ConcurrentDbgTable` vs checkout (occupancy-bounded reset of a recycled
 //!   table)+drop. Earlier revisions filled each table with a large
 //!   record loop inside both arms, which dominated the timing and made
 //!   the two means indistinguishable.

@@ -1,6 +1,29 @@
+//! The assembled graph and its parts: per-vertex data, per-partition
+//! [`SubGraph`]s and the merged [`DeBruijnGraph`].
+//!
+//! # Shards
+//!
+//! MSP partitions are disjoint by k-mer: every occurrence of a vertex
+//! shares its canonical minimizer and therefore its partition. A graph
+//! built with [`DeBruijnGraph::partitioned`] keeps one hash map (a
+//! *shard*) per MSP partition and puts each vertex in the shard of the
+//! partition Step 1 routed it to:
+//! `PartitionRouter::route_minimizer(&minimizer_of_kmer(kmer, p))`,
+//! computed by [`msp::PartitionRouter::route_kmer`]. A partition's
+//! subgraph then lands in one small map, reserved once to its exact size,
+//! instead of growing one map over the whole vertex set through a chain
+//! of doubling rehashes. [`DeBruijnGraph::new`] keeps a single shard.
+//!
+//! The shard is a storage detail, never trusted from a caller: every
+//! insert and lookup routes its own vertex, so a subgraph holding
+//! vertices of several partitions (or a foreign one) still lands where
+//! lookups will find it. Equality compares content, so a partitioned
+//! graph equals the single-shard graph of the same vertices.
+
 use std::collections::HashMap;
 
 use dna::{Base, Kmer, Orientation};
+use msp::PartitionRouter;
 
 /// Which side of a canonical vertex an edge leaves from.
 ///
@@ -116,7 +139,8 @@ impl SubGraph {
 }
 
 /// The full De Bruijn graph: canonical k-mer → vertex data, assembled by
-/// absorbing per-partition [`SubGraph`]s.
+/// absorbing per-partition [`SubGraph`]s, stored in one hash map per
+/// shard (see the [module docs](self)).
 ///
 /// # Examples
 ///
@@ -128,25 +152,45 @@ impl SubGraph {
 /// let reads = vec![PackedSeq::from_ascii(b"ACGTACGTAC")];
 /// let parts = msp::partition_in_memory(&reads, 4, 2, 2)?;
 /// let mut g = DeBruijnGraph::new(4);
+/// let mut sharded = DeBruijnGraph::partitioned(4, 2, 2);
 /// for p in &parts {
 ///     g.absorb(build_subgraph_serial(p, 4)?);
+///     sharded.absorb(build_subgraph_serial(p, 4)?);
 /// }
 /// // 7 k-mer occurrences; ACGT-periodic so few distinct vertices.
 /// assert_eq!(g.total_kmer_occurrences(), 7);
 /// assert!(g.distinct_vertices() < 7);
+/// assert_eq!(sharded, g);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DeBruijnGraph {
     k: usize,
-    map: HashMap<Kmer, VertexData>,
+    /// Minimizer length of the shard route (unused with one shard).
+    p: usize,
+    /// Vertex → shard, over `shards.len()` shards.
+    router: PartitionRouter,
+    shards: Vec<HashMap<Kmer, VertexData>>,
 }
 
 impl DeBruijnGraph {
-    /// An empty graph for k-mers of length `k`.
+    /// An empty graph for k-mers of length `k`, stored in one shard.
     pub fn new(k: usize) -> DeBruijnGraph {
-        DeBruijnGraph { k, map: HashMap::new() }
+        DeBruijnGraph::partitioned(k, 1, 1)
+    }
+
+    /// An empty graph for k-mers of length `k` with one shard per MSP
+    /// partition: a vertex lives in the shard of the partition that
+    /// `p`-length minimizers over `partitions` partitions route it to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is 0 or `p` is not in `1..=k`.
+    pub fn partitioned(k: usize, p: usize, partitions: usize) -> DeBruijnGraph {
+        assert!((1..=k).contains(&p), "invalid minimizer length {p} for k={k}");
+        let router = PartitionRouter::new(partitions).expect("at least one shard");
+        DeBruijnGraph { k, p, router, shards: vec![HashMap::new(); partitions] }
     }
 
     /// The k-mer length.
@@ -154,39 +198,64 @@ impl DeBruijnGraph {
         self.k
     }
 
+    /// The shard holding `kmer`.
+    #[inline]
+    fn shard_of(&self, kmer: &Kmer) -> usize {
+        if self.shards.len() == 1 {
+            0
+        } else {
+            self.router.route_kmer(kmer, self.p)
+        }
+    }
+
     /// Merges a subgraph into the graph. Vertices already present (only
     /// possible when two builders are combined on overlapping inputs) have
     /// their counts merged.
+    ///
+    /// Room for the whole subgraph is reserved in its first vertex's
+    /// shard, the one a single partition's subgraph fills; every vertex
+    /// is still routed on its own.
     ///
     /// # Panics
     ///
     /// Panics if the subgraph was built for a different `k`.
     pub fn absorb(&mut self, sub: SubGraph) {
         assert_eq!(sub.k(), self.k, "cannot absorb a k={} subgraph into a k={} graph", sub.k(), self.k);
-        for (kmer, data) in sub.into_entries() {
-            self.map.entry(kmer).or_default().merge(&data);
+        let entries = sub.into_entries();
+        let Some((first, _)) = entries.first() else {
+            return;
+        };
+        let home = self.shard_of(first);
+        self.shards[home].reserve(entries.len());
+        for (kmer, data) in entries {
+            let shard = self.shard_of(&kmer);
+            self.shards[shard].entry(kmer).or_default().merge(&data);
         }
     }
 
     /// Merges one vertex record.
     pub fn merge_vertex(&mut self, kmer: Kmer, data: VertexData) {
         debug_assert!(kmer.is_canonical(), "vertices must be canonical k-mers");
-        self.map.entry(kmer).or_default().merge(&data);
+        let shard = self.shard_of(&kmer);
+        self.shards[shard].entry(kmer).or_default().merge(&data);
     }
 
     /// The data for a canonical k-mer, if present.
     pub fn get(&self, kmer: &Kmer) -> Option<&VertexData> {
-        self.map.get(kmer)
+        if kmer.k() != self.k {
+            return None;
+        }
+        self.shards[self.shard_of(kmer)].get(kmer)
     }
 
     /// Number of distinct vertices (the paper's graph-size metric).
     pub fn distinct_vertices(&self) -> usize {
-        self.map.len()
+        self.shards.iter().map(HashMap::len).sum()
     }
 
     /// Total k-mer occurrences merged into the graph.
     pub fn total_kmer_occurrences(&self) -> u64 {
-        self.map.values().map(|v| v.count as u64).sum()
+        self.iter().map(|(_, v)| v.count as u64).sum()
     }
 
     /// Occurrences that were duplicates of an already-present vertex
@@ -197,12 +266,12 @@ impl DeBruijnGraph {
 
     /// Sum of all edge multiplicities over all vertices.
     pub fn total_edge_multiplicity(&self) -> u64 {
-        self.map.values().map(VertexData::total_edge_multiplicity).sum()
+        self.iter().map(|(_, v)| v.total_edge_multiplicity()).sum()
     }
 
     /// Iterates over `(canonical k-mer, data)` in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Kmer, &VertexData)> {
-        self.map.iter()
+        self.shards.iter().flat_map(HashMap::iter)
     }
 
     /// The canonical successors of `kmer` when read in orientation
@@ -212,7 +281,7 @@ impl DeBruijnGraph {
     /// Successor vertices are returned in canonical form with the
     /// orientation the walk continues in.
     pub fn successors(&self, kmer: &Kmer, orient: Orientation) -> Vec<(Kmer, Orientation, u32)> {
-        let Some(data) = self.map.get(kmer) else {
+        let Some(data) = self.get(kmer) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -239,7 +308,7 @@ impl DeBruijnGraph {
 
     /// The canonical predecessors of `kmer` read in orientation `orient`.
     pub fn predecessors(&self, kmer: &Kmer, orient: Orientation) -> Vec<(Kmer, Orientation, u32)> {
-        let Some(data) = self.map.get(kmer) else {
+        let Some(data) = self.get(kmer) else {
             return Vec::new();
         };
         let mut out = Vec::new();
@@ -267,7 +336,11 @@ impl DeBruijnGraph {
     /// [`filter_min_count`](Self::filter_min_count); traversals ignore
     /// them.
     pub fn remove_vertex(&mut self, kmer: &Kmer) -> bool {
-        self.map.remove(kmer).is_some()
+        if kmer.k() != self.k {
+            return false;
+        }
+        let shard = self.shard_of(kmer);
+        self.shards[shard].remove(kmer).is_some()
     }
 
     /// Removes vertices whose occurrence count is below `min_count` (the
@@ -276,17 +349,31 @@ impl DeBruijnGraph {
     /// dangling multiplicities on the survivors, as in the paper's output
     /// ("invalid vertices filtered").
     pub fn filter_min_count(&mut self, min_count: u32) -> usize {
-        let before = self.map.len();
-        self.map.retain(|_, v| v.count >= min_count);
-        before - self.map.len()
+        let before = self.distinct_vertices();
+        for shard in &mut self.shards {
+            shard.retain(|_, v| v.count >= min_count);
+        }
+        before - self.distinct_vertices()
     }
 
     /// Approximate in-memory footprint in bytes (used by the memory
     /// accounting in the Table III experiment).
     pub fn approx_bytes(&self) -> usize {
-        self.map.len() * (std::mem::size_of::<Kmer>() + std::mem::size_of::<VertexData>())
+        self.distinct_vertices() * (std::mem::size_of::<Kmer>() + std::mem::size_of::<VertexData>())
     }
 }
+
+/// Content equality: the same `k` and the same vertex → data map,
+/// whatever the shard layout of either side.
+impl PartialEq for DeBruijnGraph {
+    fn eq(&self, other: &DeBruijnGraph) -> bool {
+        self.k == other.k
+            && self.distinct_vertices() == other.distinct_vertices()
+            && self.iter().all(|(kmer, data)| other.get(kmer) == Some(data))
+    }
+}
+
+impl Eq for DeBruijnGraph {}
 
 #[cfg(test)]
 mod tests {
@@ -412,6 +499,71 @@ mod tests {
         assert!(g.successors(&km("ACGTA"), Orientation::Forward).is_empty());
         assert!(g.predecessors(&km("ACGTA"), Orientation::Forward).is_empty());
         assert!(g.get(&km("ACGTA")).is_none());
+    }
+
+    #[test]
+    fn partitioned_graph_routes_every_vertex_and_equals_single_shard() {
+        let (k, p, n) = (9, 4, 8);
+        let reads: Vec<dna::PackedSeq> = [
+            "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATGCCGGA",
+            "TTGACCAGTAGGCATTAGCCAGTACGGATCAAAAACCCCCGGGGGTTTTTACGTTGCATGG",
+        ]
+        .iter()
+        .map(|s| dna::PackedSeq::from_ascii(s.as_bytes()))
+        .collect();
+        let parts = msp::partition_in_memory(&reads, k, p, n).unwrap();
+        let mut single = DeBruijnGraph::new(k);
+        let mut sharded = DeBruijnGraph::partitioned(k, p, n);
+        for part in &parts {
+            let sub = crate::build_subgraph_serial(part, k).unwrap();
+            single.absorb(sub.clone());
+            sharded.absorb(sub);
+        }
+        // One subgraph spanning every partition: absorb trusts no
+        // caller and still routes each vertex to its own shard.
+        let mut mixed = DeBruijnGraph::partitioned(k, p, n);
+        mixed.absorb(SubGraph::new(k, single.iter().map(|(kmer, v)| (*kmer, *v)).collect()));
+
+        assert_eq!(sharded, single);
+        assert_eq!(mixed, single);
+        assert_eq!(single, sharded, "equality is symmetric across layouts");
+        let router = PartitionRouter::new(n).unwrap();
+        for g in [&sharded, &mixed] {
+            assert!(g.shards.iter().filter(|s| !s.is_empty()).count() > 1, "test needs spread");
+            for (i, shard) in g.shards.iter().enumerate() {
+                for kmer in shard.keys() {
+                    assert_eq!(router.route_kmer(kmer, p), i, "{kmer} stored in the wrong shard");
+                }
+            }
+            for (kmer, data) in single.iter() {
+                assert_eq!(g.get(kmer), Some(data));
+            }
+        }
+
+        // A graph missing one vertex, or holding different data, differs.
+        let victim = *single.iter().next().unwrap().0;
+        let mut fewer = sharded.clone();
+        assert!(fewer.remove_vertex(&victim));
+        assert_ne!(fewer, single);
+        fewer.merge_vertex(victim, VertexData { count: 1, edges: [0; 8] });
+        assert_eq!(fewer.distinct_vertices(), single.distinct_vertices());
+        assert_ne!(fewer.get(&victim), single.get(&victim));
+        assert_ne!(fewer, single);
+    }
+
+    #[test]
+    fn lookups_of_another_k_miss_without_routing() {
+        let mut g = DeBruijnGraph::partitioned(5, 3, 4);
+        g.merge_vertex(km("ACGTA").canonical().0, VertexData::default());
+        // A 2-mer is shorter than the minimizer: it must not be routed.
+        assert!(g.get(&km("AC")).is_none());
+        assert!(!g.remove_vertex(&km("AC")));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid minimizer length")]
+    fn partitioned_rejects_minimizer_longer_than_k() {
+        DeBruijnGraph::partitioned(5, 6, 4);
     }
 
     #[test]

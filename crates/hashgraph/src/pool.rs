@@ -7,8 +7,9 @@
 //! because partition sizes cluster. [`TablePool`] recycles the backing
 //! allocations: tables are checked out by **capacity class** (the
 //! requested capacity rounded up to the next power of two, so nearby
-//! sizes share a shelf), wiped with [`ConcurrentDbgTable::reset`] (three
-//! memsets, no allocation) and returned to their shelf on drop.
+//! sizes share a shelf), wiped with [`ConcurrentDbgTable::reset`] (one
+//! pass over the state words that clears only the counter lines of
+//! claimed slots, no allocation) and returned to their shelf on drop.
 //!
 //! The pool is shared across device driver threads — checkout and return
 //! take one short mutex each, trivially amortised against the work of

@@ -283,7 +283,16 @@ impl ConcurrentDbgTable {
 
     /// Clears the table for reuse without touching its allocations — the
     /// [`TablePool`](crate::TablePool) reset. Exclusive access (`&mut`)
-    /// makes every atomic plain memory, so this is three memsets.
+    /// makes every atomic plain memory.
+    ///
+    /// The cost follows occupancy, not capacity, through one invariant:
+    /// **a counter line is non-zero only behind a non-`EMPTY` state
+    /// word.** It holds because [`bump`](Self::bump) runs only on a slot
+    /// its caller has claimed (`LOCKED` or `OCCUPIED`), and because this
+    /// reset clears the line of every slot it returns to `EMPTY`. So one
+    /// pass over the 2-byte state words finds every dirty line, and the
+    /// 64-byte counter lines of never-claimed slots (most of a table
+    /// sized for load factor α) are not written at all.
     ///
     /// Key cells are deliberately *not* cleared: a key is only ever read
     /// after observing `OCCUPIED` on its slot's state word, and every
@@ -292,16 +301,24 @@ impl ConcurrentDbgTable {
     /// Counts and edge counters **must** clear — the record path bumps
     /// them with `fetch_add`, which would absorb stale values silently.
     pub fn reset(&mut self) {
-        for s in self.states.iter_mut() {
-            *s.get_mut() = EMPTY;
-        }
-        for c in self.counters.iter_mut() {
-            *c.count.get_mut() = 0;
-            for e in c.edges.iter_mut() {
-                *e.get_mut() = 0;
+        for (state, counters) in self.states.iter_mut().zip(self.counters.iter_mut()) {
+            if std::mem::replace(state.get_mut(), EMPTY) != EMPTY {
+                *counters = SlotCounters::new();
             }
         }
         self.stats = Counters::default();
+    }
+
+    /// Slot `slot`'s counter line as `[count, edges[0], …, edges[7]]`,
+    /// whatever its state (tests check the reset invariant through it).
+    #[cfg(test)]
+    fn counter_line(&self, slot: usize) -> [u32; 9] {
+        let c = &self.counters[slot];
+        let mut line = [c.count.load(Ordering::Relaxed); 9];
+        for (out, e) in line[1..].iter_mut().zip(&c.edges) {
+            *out = e.load(Ordering::Relaxed);
+        }
+        line
     }
 
     /// Reads the key in `slot`; caller must have observed `OCCUPIED` with
@@ -523,8 +540,16 @@ impl VertexTable for ConcurrentDbgTable {
         // Every successful record bumps its slot's duplicity count exactly
         // once, so Σ counts = insertions + updates; the subtraction
         // saturates because a record in flight bumps its slot count
-        // before the insertions counter.
-        let occurrences: u64 = self.counters.iter().map(|c| c.count.load(r) as u64).sum();
+        // before the insertions counter. A count is bumped only after
+        // its slot is published OCCUPIED (and `reset` clears the lines
+        // it empties), so the sum skips every other counter line.
+        let occurrences: u64 = self
+            .states
+            .iter()
+            .zip(self.counters.iter())
+            .filter(|(state, _)| state.load(r) & STATE_MASK == OCCUPIED)
+            .map(|(_, c)| c.count.load(r) as u64)
+            .sum();
         ContentionStats {
             insertions,
             updates: occurrences.saturating_sub(insertions),
@@ -750,6 +775,70 @@ mod tests {
         a.sort_by_key(|x| x.0);
         b.sort_by_key(|x| x.0);
         assert_eq!(a, b, "reset table must reproduce a fresh table's contents");
+    }
+
+    /// Σ slot duplicity counts over *every* counter line, whatever the
+    /// slot state.
+    fn full_scan_occurrences(t: &ConcurrentDbgTable) -> u64 {
+        (0..t.capacity()).map(|slot| t.counter_line(slot)[0] as u64).sum()
+    }
+
+    #[test]
+    fn reset_clears_every_counter_line_after_normal_and_exhausted_replays() {
+        let seq = PackedSeq::from_ascii(
+            b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATGCCGGATTAAC",
+        );
+        let replay = |t: &ConcurrentDbgTable| -> Result<()> {
+            // Each k-mer twice, so even the exhausted replay has updates.
+            for (i, kmer) in seq.kmers(6).enumerate() {
+                for _ in 0..2 {
+                    let edges = [Some((i % 8) as u8), Some(((i + 3) % 8) as u8)];
+                    t.record(&kmer.canonical().0, edges)?;
+                }
+            }
+            Ok(())
+        };
+        let fresh = ConcurrentDbgTable::new(128, 6);
+        replay(&fresh).unwrap();
+
+        // Normal replay, then the retry path: a 16-slot table fills up
+        // mid-replay and reports exhaustion with every slot claimed.
+        let mut normal = ConcurrentDbgTable::new(128, 6);
+        replay(&normal).unwrap();
+        let mut exhausted = ConcurrentDbgTable::new(16, 6);
+        assert!(matches!(replay(&exhausted), Err(HashGraphError::CapacityExhausted { .. })));
+
+        for t in [&mut normal, &mut exhausted] {
+            // A dirty table: `contention` sums OCCUPIED slots only, and
+            // that equals the sum over every counter line.
+            let c = t.contention();
+            assert!(c.insertions > 0 && c.updates > 0, "{c:?}");
+            assert_eq!(c.insertions + c.updates, full_scan_occurrences(t));
+
+            t.reset();
+            for slot in 0..t.capacity() {
+                assert_eq!(t.counter_line(slot), [0; 9], "slot {slot} of {}", t.capacity());
+            }
+            assert_eq!(t.distinct(), 0);
+            assert_eq!(t.contention(), ContentionStats::default());
+        }
+
+        // The reset tables behave like fresh ones: same contents and the
+        // same counters for the same replay.
+        replay(&normal).unwrap();
+        let sorted = |t: &ConcurrentDbgTable| {
+            let mut e = t.snapshot().into_entries();
+            e.sort_by_key(|x| x.0);
+            e
+        };
+        assert_eq!(sorted(&normal), sorted(&fresh));
+        assert_eq!(normal.contention(), fresh.contention());
+        let small_fresh = ConcurrentDbgTable::new(16, 6);
+        let _ = replay(&small_fresh);
+        let _ = replay(&exhausted);
+        assert_eq!(sorted(&exhausted), sorted(&small_fresh));
+        assert_eq!(exhausted.contention(), small_fresh.contention());
+        assert_eq!(full_scan_occurrences(&exhausted), full_scan_occurrences(&small_fresh));
     }
 
     #[test]

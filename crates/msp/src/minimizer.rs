@@ -401,6 +401,40 @@ impl MinimizerCursor {
 /// core does).
 pub(crate) fn leading_minimizer_u64(mut codes: CodeWords<'_>, k: usize, p: usize) -> Kmer {
     debug_assert!((1..=32).contains(&p) && p <= k, "k={k} p={p}");
+    let mut chunk = 0u64;
+    let best = min_canonical_pmer(k, p, |i| {
+        if i % 32 == 0 {
+            chunk = codes.next_chunk();
+        }
+        let code = chunk & 3;
+        chunk >>= 2;
+        code
+    });
+    Kmer::from_words([best, 0, 0, 0], p).expect("p-mer tail bits are zero")
+}
+
+/// [`minimizer_of_kmer`] of the k-mer packed in `words` (the layout of
+/// [`Kmer::words`]: left-aligned MSB-first, tail bits zero), for
+/// `p ≤ 32`. Returns the minimizer's own packed word in the same layout,
+/// so `Kmer::hash64_of_words(&[m, 0, 0, 0], p)` is the minimizer's
+/// [`Kmer::hash64`]. The same one-pass roll as [`leading_minimizer_u64`],
+/// reading the codes from the k-mer's words instead of a payload: no
+/// owned sub-k-mers, no `revcomp` copy, no allocation.
+///
+/// The caller guarantees `1 ≤ p ≤ min(k, 32)` and `k ≤ MAX_K`.
+#[inline]
+pub(crate) fn minimizer_word_u64(words: &[u64; 4], k: usize, p: usize) -> u64 {
+    debug_assert!((1..=32).contains(&p) && p <= k && k <= dna::MAX_K, "k={k} p={p}");
+    min_canonical_pmer(k, p, |i| (words[i / 32] >> (62 - 2 * (i % 32))) & 3)
+}
+
+/// The minimum over the `k − p + 1` p-mer positions of `min(pmer,
+/// revcomp(pmer))`, for the k-mer whose `i`-th base code is `code_at(i)`
+/// (called once per `i`, in order) and `p ≤ 32`: the canonical
+/// minimizer as an MSB-aligned `u64`, rolled with two shifts and an OR
+/// per base exactly as [`MinimizerCursor::scan_runs_fast`] does.
+#[inline(always)]
+fn min_canonical_pmer(k: usize, p: usize, mut code_at: impl FnMut(usize) -> u64) -> u64 {
     // Same MSB-aligned layout as the scan: the p-mer occupies the top
     // 2p bits and `p = 32` makes the mask a no-op `!0`.
     let shift = 64 - 2 * p;
@@ -408,20 +442,15 @@ pub(crate) fn leading_minimizer_u64(mut codes: CodeWords<'_>, k: usize, p: usize
     let mut fwd = 0u64;
     let mut rc = 0u64;
     let mut best = u64::MAX;
-    let mut chunk = 0u64;
     for i in 0..k {
-        if i % 32 == 0 {
-            chunk = codes.next_chunk();
-        }
-        let code = chunk & 3;
-        chunk >>= 2;
+        let code = code_at(i);
         fwd = (fwd << 2) | (code << shift);
         rc = ((rc >> 2) & pmask) | ((code ^ 3) << 62);
         if i + 1 >= p {
             best = best.min(fwd.min(rc));
         }
     }
-    Kmer::from_words([best, 0, 0, 0], p).expect("p-mer tail bits are zero")
+    best
 }
 
 /// Minimum p-mer in every length-`window` window of p-mer positions, via a
@@ -692,6 +721,26 @@ mod tests {
                 let (view, _) = SuperkmerView::parse(&buf, k).unwrap();
                 let got = leading_minimizer_u64(view.code_words(), k, p);
                 assert_eq!(got, want, "k={k} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn minimizer_word_matches_brute_force() {
+        let shapes = [(1, 1), (27, 11), (31, 31), (32, 1), (32, 32), (33, 32), (33, 11), (70, 17)];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for (k, p) in shapes {
+            for _ in 0..25 {
+                let mut read = PackedSeq::new();
+                for _ in 0..k {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    read.push(dna::Base::from_code((state >> 40) as u8));
+                }
+                let kmer = read.kmer_at(0, k).unwrap();
+                let want = minimizer_of_kmer(&kmer, p);
+                assert_eq!(minimizer_word_u64(kmer.words(), k, p), want.words()[0], "k={k} p={p}");
             }
         }
     }

@@ -1,5 +1,6 @@
 use dna::{Kmer, PackedSeq};
 
+use crate::minimizer::{minimizer_of_kmer, minimizer_word_u64};
 use crate::{MspError, Result, Superkmer, SuperkmerScanner};
 
 /// Routes superkmers to partitions by minimizer hash.
@@ -47,6 +48,25 @@ impl PartitionRouter {
     #[inline]
     pub fn route_minimizer(&self, minimizer: &Kmer) -> usize {
         (minimizer.hash64() % self.num_partitions as u64) as usize
+    }
+
+    /// Partition index for one k-mer: the partition Step 1 sends every
+    /// superkmer holding it to, i.e.
+    /// `route_minimizer(&minimizer_of_kmer(kmer, p))`. For `p ≤ 32` the
+    /// minimizer is rolled in one `u64` straight from the k-mer's packed
+    /// words and hashed from that word, with no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is 0 or exceeds the k-mer length.
+    #[inline]
+    pub fn route_kmer(&self, kmer: &Kmer, p: usize) -> usize {
+        if (1..=32).contains(&p) && p <= kmer.k() {
+            let words = [minimizer_word_u64(kmer.words(), kmer.k(), p), 0, 0, 0];
+            (Kmer::hash64_of_words(&words, p) % self.num_partitions as u64) as usize
+        } else {
+            self.route_minimizer(&minimizer_of_kmer(kmer, p))
+        }
     }
 
     /// Partition index for a superkmer (routes by its minimizer).

@@ -48,6 +48,31 @@ proptest! {
         prop_assert_eq!(sc.scan(&read), sc.scan_naive(&read));
     }
 
+    /// The one-word vertex route equals routing the brute-force
+    /// minimizer, for k on both sides of 32, every p from 1 to k (p > 32
+    /// takes the brute-force path) and any partition count.
+    #[test]
+    fn route_kmer_equals_routing_the_brute_force_minimizer(
+        read in seq(120),
+        k_pick in 0usize..8,
+        p_frac in 0usize..=100,
+        n in 1usize..300,
+    ) {
+        let k = [1, 5, 27, 31, 32, 33, 40, 70][k_pick];
+        prop_assume!(read.len() >= k);
+        let router = PartitionRouter::new(n).unwrap();
+        let p = 1 + (p_frac * (k - 1)) / 100;
+        for kmer in read.kmers(k) {
+            for p in [p, k, k.min(32)] {
+                prop_assert_eq!(
+                    router.route_kmer(&kmer, p),
+                    router.route_minimizer(&minimizer_of_kmer(&kmer, p)),
+                    "k={} p={} n={} kmer={}", k, p, n, kmer
+                );
+            }
+        }
+    }
+
     #[test]
     fn minimizer_is_strand_invariant(read in seq(60), p in 1usize..8) {
         for kmer in read.kmers(p.max(6) + 3) {

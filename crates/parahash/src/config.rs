@@ -139,6 +139,12 @@ impl ParaHashConfig {
         self.partitions
     }
 
+    /// An empty graph with one shard per partition, the shape Step 2
+    /// absorbs this run's subgraphs into.
+    pub(crate) fn empty_graph(&self) -> hashgraph::DeBruijnGraph {
+        hashgraph::DeBruijnGraph::partitioned(self.k, self.p, self.partitions)
+    }
+
     /// The configured devices.
     pub fn devices(&self) -> &[Arc<dyn Device>] {
         &self.devices

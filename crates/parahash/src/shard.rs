@@ -781,7 +781,7 @@ pub(crate) fn run_step2_sharded(
     // out their config deadline against a drained cluster.
     if order.is_empty() {
         return Ok((
-            DeBruijnGraph::new(config.k),
+            config.empty_graph(),
             StepReport {
                 step: 2,
                 pipeline: PipelineReport {
@@ -993,7 +993,7 @@ pub(crate) fn run_step2_sharded(
     // absorbed by the driver, as on the in-process path). Files were
     // already verified when the worker reported them; fallback builds
     // are trusted like in-process commits.
-    let mut graph = DeBruijnGraph::new(config.k);
+    let mut graph = config.empty_graph();
     let mut peak_partition = 0u64;
     for &p in &stats.built {
         let bytes = std::fs::read(sub_dir.join(format!("sub-{p:05}.dbg")))?;
@@ -1101,55 +1101,75 @@ fn serve_worker(
     if conn.send(&WireMsg::Config(blob.to_string()).encode()).is_err() {
         return Ok(());
     }
+    // A control message that arrived where a subgraph payload was
+    // expected, handled before the next frame is read.
+    let mut early: Option<WireMsg> = None;
     loop {
-        let msg = match conn.recv(MAX_FRAME, Some(tuning.idle_timeout)) {
-            Ok(Recv::Frame(frame)) => match WireMsg::decode(&frame) {
-                Ok(msg) => msg,
-                Err(e) => {
-                    // Garbled traffic costs the connection, never the
-                    // run: requeue and let the worker reconnect.
-                    board
-                        .lock()
-                        .release_worker(worker, &format!("sent an undecodable frame: {e}"));
+        let msg = if let Some(msg) = early.take() {
+            msg
+        } else {
+            match conn.recv(MAX_FRAME, Some(tuning.idle_timeout)) {
+                // A subgraph payload outside a `result` exchange: its
+                // `result` frame was lost on the wire. Skip it; the
+                // claim that follows takes the lease back.
+                Ok(Recv::Frame(frame)) if wire && frame.first() == Some(&BLOB_TAG) => continue,
+                Ok(Recv::Frame(frame)) => match WireMsg::decode(&frame) {
+                    Ok(msg) => msg,
+                    Err(e) => {
+                        // Garbled traffic costs the connection, never
+                        // the run: requeue and let the worker reconnect.
+                        board
+                            .lock()
+                            .release_worker(worker, &format!("sent an undecodable frame: {e}"));
+                        return Ok(());
+                    }
+                },
+                // Clean exit and crash look the same from here:
+                // requeue whatever the worker still held (crash) — a
+                // no-op after a clean `finished` exit (it held nothing).
+                Ok(Recv::Eof) => {
+                    board.lock().release_worker(worker, "disconnected holding the lease");
                     return Ok(());
                 }
-            },
-            // Clean exit and crash look the same from here: requeue
-            // whatever the worker still held (crash) — a no-op after a
-            // clean `finished` exit (it held nothing).
-            Ok(Recv::Eof) => {
-                board.lock().release_worker(worker, "disconnected holding the lease");
-                return Ok(());
-            }
-            // The heartbeat deadline lapsed: hung, not slow. Evict.
-            Ok(Recv::TimedOut) => {
-                board.lock().release_worker(
-                    worker,
-                    &format!(
-                        "sent no heartbeat within {}ms; evicted as hung",
-                        tuning.idle_timeout.as_millis()
-                    ),
-                );
-                return Ok(());
-            }
-            Err(e) => {
-                board.lock().release_worker(worker, &format!("connection failed: {e}"));
-                return Ok(());
+                // The heartbeat deadline lapsed: hung, not slow. Evict.
+                Ok(Recv::TimedOut) => {
+                    board.lock().release_worker(
+                        worker,
+                        &format!(
+                            "sent no heartbeat within {}ms; evicted as hung",
+                            tuning.idle_timeout.as_millis()
+                        ),
+                    );
+                    return Ok(());
+                }
+                Err(e) => {
+                    board.lock().release_worker(worker, &format!("connection failed: {e}"));
+                    return Ok(());
+                }
             }
         };
         match msg {
             // Liveness pulse: its arrival already reset the receive
             // deadline; it carries nothing else.
             WireMsg::Heartbeat(_) => continue,
-            WireMsg::Claim(w) => {
-                let leased = board.lock().claim(w);
+            // Leases go to the id the worker said hello with: a claim
+            // naming another id must not strand a lease this
+            // connection's release would miss.
+            WireMsg::Claim(_) => {
+                let leased = {
+                    let mut board = board.lock();
+                    // One lease at a time: a lease this worker still
+                    // holds lost its report on the wire.
+                    board.reclaim(worker);
+                    board.claim(worker)
+                };
                 match leased {
                     Some(p) => {
                         // Journaled *before* the assignment goes out:
                         // after a parent crash, replay shows exactly
                         // which partitions were in flight.
                         if let Some(journal) = journal {
-                            journal.append(&JournalEvent::WorkerLease(w, p))?;
+                            journal.append(&JournalEvent::WorkerLease(worker, p))?;
                         }
                         let assign = WireMsg::Assign(p, manifest.stats()[p].kmers);
                         if conn.send(&assign.encode()).is_err() {
@@ -1196,13 +1216,24 @@ fn serve_worker(
                                 }
                                 match WireMsg::decode(&frame) {
                                     Ok(WireMsg::Heartbeat(_)) => continue,
-                                    _ => break None,
+                                    // The worker moved on: the payload
+                                    // was lost on the wire, and the
+                                    // claim that follows takes the
+                                    // lease back.
+                                    Ok(msg) => {
+                                        early = Some(msg);
+                                        break None;
+                                    }
+                                    Err(_) => break None,
                                 }
                             }
                             _ => break None,
                         }
                     };
                     let Some(payload) = payload else {
+                        if early.is_some() {
+                            continue;
+                        }
                         board.lock().fail(
                             p,
                             &format!(

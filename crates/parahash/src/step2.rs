@@ -230,7 +230,7 @@ pub(crate) fn run_step2_with(
     let n = manifest.num_partitions();
     let cancel = CancelToken::new();
     let shared = Step2Shared::new(config, &cancel, journal)?;
-    let mut graph = DeBruijnGraph::new(config.k);
+    let mut graph = config.empty_graph();
 
     let pipeline_report = {
         let shared = &shared;
@@ -318,7 +318,7 @@ pub(crate) fn run_step2_streaming(
     warm: Option<TunerWarmStart>,
 ) -> Result<(DeBruijnGraph, StepReport)> {
     let shared = Step2Shared::new(config, cancel, journal)?;
-    let mut graph = DeBruijnGraph::new(config.k);
+    let mut graph = config.empty_graph();
     let n_gpus =
         config.devices().iter().filter(|d| d.kind() == DeviceKind::SimGpu).count();
     let tuner = SplitTuner::new(config.split, n_gpus, warm);

@@ -15,6 +15,9 @@ use dna::SeqRead;
 use parahash::{ParaHash, ParaHashConfig, RunOutcome};
 use pipeline::{IoMode, IoOp, ThrottledIo};
 
+#[path = "../../../tests/support/lookup_parity.rs"]
+mod lookup_parity;
+
 const K: usize = 15;
 const P: usize = 7;
 const PARTS: usize = 12;
@@ -106,6 +109,46 @@ fn fused_matches_two_phase_across_threads_and_budgets() {
                 }
             }
             std::fs::remove_dir_all(ph.config().work_dir()).unwrap();
+        }
+    }
+}
+
+/// Every in-process build mode answers lookups like the reference, for
+/// k on both sides of the one-word (k ≤ 32) limit: two-phase, fused and
+/// forced sub-split graphs are absorbed into one shard per partition,
+/// so a vertex routed to the wrong shard fails a lookup here even though
+/// iteration would still find it.
+#[test]
+fn build_modes_answer_lookups_like_the_reference_across_k() {
+    let reads = corpus();
+    for k in [27usize, 31, 32, 33] {
+        let reference = baselines::reference_graph(&reads, k);
+        // (mode, table budget, fused): a 16 KiB budget sub-splits every
+        // partition.
+        let modes = [
+            ("two-phase", None, false),
+            ("fused", None, true),
+            ("forced-sub-split", Some(16u64 << 10), false),
+        ];
+        for (mode, budget, fused) in modes {
+            let mut b = ParaHashConfig::builder()
+                .k(k)
+                .p(P)
+                .partitions(PARTS)
+                .cpu_threads(2)
+                .work_dir(std::env::temp_dir().join(format!("parahash-lookup-{mode}-k{k}")));
+            if let Some(budget) = budget {
+                b = b.table_memory_budget(budget).out_of_core(true);
+            }
+            let cfg = b.build().unwrap();
+            let _ = std::fs::remove_dir_all(cfg.work_dir());
+            let ph = ParaHash::new(cfg).unwrap();
+            let out = if fused { ph.run_fused(&reads) } else { ph.run(&reads) }.unwrap();
+            if budget.is_some() {
+                assert!(!out.report.step2.sub_splits.is_empty(), "k={k}: no partition split");
+            }
+            lookup_parity::assert_lookup_parity(&out.graph, &reference, &format!("{mode}, k={k}"));
+            let _ = std::fs::remove_dir_all(ph.config().work_dir());
         }
     }
 }

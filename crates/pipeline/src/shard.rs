@@ -27,7 +27,9 @@
 //! frames are rejected outright; a frame longer than the receiver's cap
 //! ([`MAX_FRAME`] for control traffic, [`MAX_PAYLOAD_FRAME`] while
 //! expecting a shipped partition or subgraph) is a protocol violation
-//! naming the offending size.
+//! naming the offending size. Under the cap, the receive buffer grows
+//! as payload bytes arrive, so a peer that claims a large frame and
+//! stops sending costs what it sent, not what it claimed.
 //!
 //! A *control* payload is UTF-8 text, first line the message tag
 //! (protocol version [`PROTO_VERSION`]):
@@ -53,7 +55,10 @@
 //! A worker that dies mid-lease simply drops its connection; the parent
 //! observes EOF and requeues the worker's outstanding leases. A worker
 //! that *hangs* mid-lease is caught by the parent's receive deadline
-//! (no heartbeat within the timeout) and requeued the same way.
+//! (no heartbeat within the timeout) and requeued the same way. A
+//! worker that claims again while still holding a lease lost its report
+//! on the wire; [`LeaseBoard::reclaim`] requeues that lease without
+//! charging an attempt.
 //!
 //! # Fault injection
 //!
@@ -191,19 +196,8 @@ pub fn recv_frame(r: &mut impl Read, cap: u32) -> std::io::Result<Recv> {
     if len > cap {
         return Err(bad(format!("wire frame claims {len} bytes (cap {cap})")));
     }
-    let mut payload = vec![0u8; len as usize];
-    let mut got = 0;
-    while got < payload.len() {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(bad(format!("torn wire frame: EOF after {got} of {len} payload bytes"))),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                return Err(bad(format!("peer stalled mid-frame ({got} of {len} payload bytes)")))
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let mut payload = Vec::new();
+    read_payload(r, len, &mut payload)?;
     let computed = wire_crc32(&payload);
     if computed != stored {
         return Err(bad(format!(
@@ -211,6 +205,45 @@ pub fn recv_frame(r: &mut impl Read, cap: u32) -> std::io::Result<Recv> {
         )));
     }
     Ok(Recv::Frame(payload))
+}
+
+/// The least a frame payload buffer grows by at a time.
+const READ_CHUNK: usize = 64 << 10;
+
+/// Reads a `len`-byte frame payload into `payload` (which must start
+/// empty), growing it as bytes arrive rather than to the claimed `len`
+/// up front. Each growth step adds one read chunk of
+/// `min(remaining, max(READ_CHUNK, received))` bytes, so the buffer never
+/// exceeds the bytes received plus one chunk, and a long payload still
+/// costs only O(log len) reallocations. A peer that claims 1 GiB and
+/// sends 8 bytes costs 64 KiB, not 1 GiB. On error `payload` holds
+/// exactly the bytes received.
+fn read_payload(r: &mut impl Read, len: u32, payload: &mut Vec<u8>) -> std::io::Result<()> {
+    debug_assert!(payload.is_empty());
+    let bad = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidData, why);
+    let want = len as usize;
+    let mut got = 0;
+    let failed = loop {
+        if got == want {
+            return Ok(());
+        }
+        if got == payload.len() {
+            let chunk = (want - got).min(got.max(READ_CHUNK));
+            payload.reserve_exact(chunk);
+            payload.resize(got + chunk, 0);
+        }
+        match r.read(&mut payload[got..]) {
+            Ok(0) => break bad(format!("torn wire frame: EOF after {got} of {len} payload bytes")),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if is_timeout(&e) => {
+                break bad(format!("peer stalled mid-frame ({got} of {len} payload bytes)"))
+            }
+            Err(e) => break e,
+        }
+    };
+    payload.truncate(got);
+    Err(failed)
 }
 
 /// Reads one control frame (cap [`MAX_FRAME`]). `Ok(None)` is a clean
@@ -700,6 +733,25 @@ impl LeaseBoard {
         Some(p)
     }
 
+    /// Takes back every lease `worker` holds, refunding the attempt each
+    /// one spent. The worker protocol holds one lease at a time (claim,
+    /// build, report, claim), so a worker that asks for more work while
+    /// still holding a lease has had its report for that lease lost on
+    /// the wire: the link failed, not the partition. The caller runs
+    /// this before answering such a `claim`. The partitions go back to
+    /// the *front* of the queue, as after a failure, but without the
+    /// charge.
+    pub fn reclaim(&mut self, worker: usize) {
+        let (attempts, pending) = (&mut self.attempts, &mut self.pending);
+        self.leased.retain(|&(p, w)| {
+            if w == worker {
+                attempts[p] -= 1;
+                pending.push_front(p);
+            }
+            w != worker
+        });
+    }
+
     /// Marks a leased partition built. Unknown/unleased partitions are
     /// ignored (a dead worker's late message races its requeue).
     pub fn complete(&mut self, partition: usize) {
@@ -836,6 +888,54 @@ mod tests {
             Recv::Frame(p) => assert_eq!(decode_blob(p).unwrap().len(), (MAX_FRAME + 7) as usize - 1),
             other => panic!("expected a frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn payload_buffer_grows_with_bytes_received_not_bytes_claimed() {
+        // A peer claims the largest payload frame, sends 8 bytes, then
+        // closes: a typed torn-frame error, and the buffer stays within
+        // the bytes received plus one read chunk.
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&MAX_PAYLOAD_FRAME.to_le_bytes());
+        wire.extend_from_slice(&0u32.to_le_bytes());
+        wire.extend_from_slice(b"8 bytes!");
+        let err = recv_frame(&mut &wire[..], MAX_PAYLOAD_FRAME).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!("torn wire frame: EOF after 8 of {MAX_PAYLOAD_FRAME} payload bytes")
+        );
+
+        let mut payload = Vec::new();
+        let err = read_payload(&mut &b"8 bytes!"[..], MAX_PAYLOAD_FRAME, &mut payload).unwrap_err();
+        assert!(err.to_string().contains("torn"), "{err}");
+        assert_eq!(payload, b"8 bytes!");
+        assert!(payload.capacity() <= 8 + READ_CHUNK, "capacity {}", payload.capacity());
+
+        // A reader that trickles bytes out 1000 at a time: a payload
+        // longer than a chunk arrives whole, and a torn one leaves the
+        // buffer within the bytes received plus one (grown) chunk.
+        struct Trickle<'a> {
+            bytes: &'a [u8],
+            at: usize,
+        }
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(1000).min(self.bytes.len() - self.at);
+                buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+                self.at += n;
+                Ok(n)
+            }
+        }
+        let long: Vec<u8> = (0..3 * READ_CHUNK + 17).map(|i| (i * 7) as u8).collect();
+        let mut payload = Vec::new();
+        read_payload(&mut Trickle { bytes: &long, at: 0 }, long.len() as u32, &mut payload).unwrap();
+        assert_eq!(payload, long);
+        let mut cut = Trickle { bytes: &long[..READ_CHUNK + 5], at: 0 };
+        let mut payload = Vec::new();
+        assert!(read_payload(&mut cut, MAX_PAYLOAD_FRAME, &mut payload).is_err());
+        assert_eq!(payload.len(), READ_CHUNK + 5);
+        assert!(payload.capacity() <= 2 * READ_CHUNK + 5, "capacity {}", payload.capacity());
     }
 
     #[test]
@@ -1009,6 +1109,43 @@ mod tests {
         let requeued: Vec<_> = std::iter::from_fn(|| board.claim(8)).collect();
         assert_eq!(requeued.len(), 2);
         assert!(requeued.contains(&0) && requeued.contains(&1));
+    }
+
+    #[test]
+    fn claim_while_holding_a_lease_reclaims_it_without_charge() {
+        // Partition 0 loses one attempt to a real disconnect (a dropped
+        // `assign`), then its second lease's report is lost: the worker
+        // claims again while still holding it.
+        let mut board = LeaseBoard::new(vec![0, 1], 2, 2);
+        assert_eq!(board.claim(0), Some(0));
+        board.release_worker(0, "disconnected holding the lease");
+        assert_eq!(board.claim(0), Some(0));
+        assert_eq!(board.claim(1), Some(1));
+        board.reclaim(0);
+        assert_eq!(board.remaining(), 2, "nothing exhausted or lost");
+        // The partition restarts first, on its refunded attempt; worker
+        // 1's lease is untouched, also by a worker holding nothing.
+        assert_eq!(board.claim(0), Some(0));
+        board.reclaim(2);
+        assert_eq!(board.claim(2), None, "worker 1 still holds partition 1");
+        board.complete(0);
+        board.complete(1);
+        assert_eq!(board.remaining(), 0);
+        assert!(board.exhausted().is_empty());
+        assert_eq!(board.done(), &[0, 1]);
+
+        // The refund is exact: reclaim and re-lease leave the attempt
+        // count where it was, so the next real loss exhausts the
+        // partition at the cap, not past it.
+        let mut board = LeaseBoard::new(vec![0], 1, 2);
+        assert_eq!(board.claim(0), Some(0));
+        board.release_worker(0, "disconnected holding the lease");
+        assert_eq!(board.claim(0), Some(0));
+        board.reclaim(0);
+        assert_eq!(board.claim(0), Some(0));
+        board.release_worker(0, "disconnected holding the lease");
+        assert_eq!(board.exhausted().len(), 1);
+        assert_eq!(board.exhausted()[0].attempts, 2);
     }
 
     #[test]

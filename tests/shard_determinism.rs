@@ -17,6 +17,9 @@ use std::path::{Path, PathBuf};
 use dna::SeqRead;
 use parahash::{ParaHash, ParaHashConfig, RunJournal};
 
+#[path = "support/lookup_parity.rs"]
+mod lookup_parity;
+
 const K: usize = 15;
 const P: usize = 5;
 const PARTITIONS: usize = 8;
@@ -49,8 +52,12 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 fn config(dir: &Path, workers: usize, budget: Option<u64>) -> ParaHashConfig {
+    config_with_k(dir, K, workers, budget)
+}
+
+fn config_with_k(dir: &Path, k: usize, workers: usize, budget: Option<u64>) -> ParaHashConfig {
     let mut b = ParaHashConfig::builder()
-        .k(K)
+        .k(k)
         .p(P)
         .partitions(PARTITIONS)
         .cpu_threads(2)
@@ -142,4 +149,24 @@ fn sharded_build_with_forced_splits_matches_reference() {
     }
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The sharded build's graph answers every lookup like the reference,
+/// for k on both sides of the one-word (k ≤ 32) limit. Its subgraphs
+/// are absorbed into one shard per partition, so a vertex routed to the
+/// wrong shard would pass the content comparison above and fail here.
+#[test]
+fn sharded_graph_lookups_match_reference_across_k() {
+    let rs = reads();
+    for k in [27usize, 31, 32, 33] {
+        let dir = fresh_dir(&format!("lookup-k{k}"));
+        let sharded =
+            ParaHash::new(config_with_k(&dir, k, 1, None)).unwrap().run(&rs).unwrap();
+        lookup_parity::assert_lookup_parity(
+            &sharded.graph,
+            &baselines::reference_graph(&rs, k),
+            &format!("workers(1), k={k}"),
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
