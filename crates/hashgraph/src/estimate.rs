@@ -105,6 +105,47 @@ pub fn projected_table_bytes(n_kmers: u64, params: SizingParams) -> u64 {
     table_capacity_for(n_kmers, params) as u64 * crate::table::SLOT_BYTES as u64
 }
 
+/// Headroom a learned table size keeps over the worst vertex density
+/// measured so far (see [`learned_table_capacity`]). A fixed constant:
+/// with the default α = 0.65 the densest partition seen so far lands at
+/// a load of about 0.43 before the pool rounds the size up.
+pub const LEARNED_HEADROOM: f64 = 1.5;
+
+/// Table capacity for a partition of `n_kmers` k-mer occurrences when the
+/// tables already built in the same run held at most `density` distinct
+/// vertices per occurrence: `density · n_kmers · LEARNED_HEADROOM / α`,
+/// never below the 16-slot floor and never above the Property-1
+/// [`table_capacity_for`] prior.
+///
+/// Property 1 sizes for λ errors per read; real partitions are often
+/// much denser in duplicates (deep coverage), so the prior can leave a
+/// table mostly empty and out of cache. A density measured on this run's
+/// own data replaces the prior once one table exists. A later partition
+/// denser than every earlier one can still overflow its learned table;
+/// Step 2 then retries at the prior before doubling.
+///
+/// # Examples
+///
+/// ```
+/// use hashgraph::{learned_table_capacity, table_capacity_for, SizingParams};
+///
+/// let params = SizingParams::default();
+/// let learned = learned_table_capacity(1_000_000, 0.1, params);
+/// assert!(learned < table_capacity_for(1_000_000, params));
+/// // Never more than the prior, however dense the data.
+/// assert_eq!(learned_table_capacity(1_000_000, 1.0, params), table_capacity_for(1_000_000, params));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `alpha` is not in `(0, 1]` or `lambda` is negative.
+pub fn learned_table_capacity(n_kmers: u64, density: f64, params: SizingParams) -> usize {
+    let prior = table_capacity_for(n_kmers, params);
+    let slots = (density.max(0.0) * n_kmers as f64 * LEARNED_HEADROOM / params.alpha).ceil();
+    // `as` saturates, and NaN maps to 0: both end up inside the clamp.
+    (slots as usize).clamp(16, prior)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +216,32 @@ mod tests {
                 crate::ConcurrentDbgTable::new(table_capacity_for(n_kmers, params), 27);
             assert_eq!(projected, table.approx_bytes() as u64, "n_kmers={n_kmers}");
         }
+    }
+
+    #[test]
+    fn learned_capacity_never_exceeds_the_prior() {
+        let params_set = [
+            SizingParams::default(),
+            SizingParams { lambda: 2.0, alpha: 1.0 },
+            SizingParams { lambda: 1e-9, alpha: 1.0 },
+            SizingParams { lambda: 8.0, alpha: 0.1 },
+        ];
+        let densities = [0.0, 1e-6, 0.01, 0.08, 0.3, 0.5, 1.0, 4.0, f64::INFINITY, f64::NAN];
+        for params in params_set {
+            for n_kmers in [0u64, 1, 15, 16, 1_000, 262_144, 10_000_000, u64::MAX >> 8] {
+                let prior = table_capacity_for(n_kmers, params);
+                for density in densities {
+                    let learned = learned_table_capacity(n_kmers, density, params);
+                    assert!(learned <= prior, "{n_kmers} kmers at {density}: {learned} > {prior}");
+                    assert!(learned >= 16.min(prior), "{n_kmers} kmers at {density}: {learned}");
+                }
+            }
+        }
+        // A sparse density shrinks the table; the headroom is kept.
+        let params = SizingParams::default();
+        let learned = learned_table_capacity(1_000_000, 0.08, params);
+        assert!(learned < table_capacity_for(1_000_000, params) / 4, "{learned}");
+        assert!(learned as f64 >= 0.08 * 1_000_000.0 * LEARNED_HEADROOM / params.alpha);
     }
 
     #[test]

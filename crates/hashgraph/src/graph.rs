@@ -14,13 +14,22 @@
 //! instead of growing one map over the whole vertex set through a chain
 //! of doubling rehashes. [`DeBruijnGraph::new`] keeps a single shard.
 //!
-//! The shard is a storage detail, never trusted from a caller: every
-//! insert and lookup routes its own vertex, so a subgraph holding
-//! vertices of several partitions (or a foreign one) still lands where
-//! lookups will find it. Equality compares content, so a partitioned
-//! graph equals the single-shard graph of the same vertices.
+//! Lookups and [`DeBruijnGraph::absorb`] route every vertex, so a
+//! subgraph holding vertices of several partitions (or one decoded from
+//! disk or sent by a peer) still lands where lookups will find it. Only
+//! [`DeBruijnGraph::absorb_partition`] skips the route: Step 2 calls it
+//! with a subgraph it built in process from one partition's superkmers,
+//! whose vertices all route to that partition by construction (MSP puts
+//! every k-mer of a superkmer in the partition of their shared
+//! minimizer). Equality compares content, so a partitioned graph equals
+//! the single-shard graph of the same vertices.
+//!
+//! Shard maps hash a vertex with [`Kmer::hash64`], the vertex table's own
+//! hash, instead of the standard library's SipHash over the whole key:
+//! the same exposure to crafted colliding inputs the table already has.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use dna::{Base, Kmer, Orientation};
 use msp::PartitionRouter;
@@ -138,6 +147,37 @@ impl SubGraph {
     }
 }
 
+/// A shard-map key: a vertex that hashes as [`Kmer::hash64`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct VertexKey(Kmer);
+
+impl Hash for VertexKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0.hash64());
+    }
+}
+
+/// Passes a [`VertexKey`]'s already-mixed `hash64` through unchanged.
+#[derive(Debug, Default, Clone, Copy)]
+struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("shard keys hash through write_u64 only");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One shard: vertex → data, keyed by `hash64`.
+type Shard = HashMap<VertexKey, VertexData, BuildHasherDefault<PassThroughHasher>>;
+
 /// The full De Bruijn graph: canonical k-mer → vertex data, assembled by
 /// absorbing per-partition [`SubGraph`]s, stored in one hash map per
 /// shard (see the [module docs](self)).
@@ -171,7 +211,7 @@ pub struct DeBruijnGraph {
     p: usize,
     /// Vertex → shard, over `shards.len()` shards.
     router: PartitionRouter,
-    shards: Vec<HashMap<Kmer, VertexData>>,
+    shards: Vec<Shard>,
 }
 
 impl DeBruijnGraph {
@@ -190,7 +230,7 @@ impl DeBruijnGraph {
     pub fn partitioned(k: usize, p: usize, partitions: usize) -> DeBruijnGraph {
         assert!((1..=k).contains(&p), "invalid minimizer length {p} for k={k}");
         let router = PartitionRouter::new(partitions).expect("at least one shard");
-        DeBruijnGraph { k, p, router, shards: vec![HashMap::new(); partitions] }
+        DeBruijnGraph { k, p, router, shards: vec![Shard::default(); partitions] }
     }
 
     /// The k-mer length.
@@ -229,7 +269,36 @@ impl DeBruijnGraph {
         self.shards[home].reserve(entries.len());
         for (kmer, data) in entries {
             let shard = self.shard_of(&kmer);
-            self.shards[shard].entry(kmer).or_default().merge(&data);
+            self.shards[shard].entry(VertexKey(kmer)).or_default().merge(&data);
+        }
+    }
+
+    /// [`absorb`](Self::absorb) for the subgraph Step 2 built from MSP
+    /// partition `partition`: every vertex goes into that partition's
+    /// shard without being routed (a single-shard graph takes it whole).
+    /// The caller guarantees that each vertex routes to `partition`,
+    /// which holds for a subgraph built in process from the partition's
+    /// own superkmers (see the [module docs](self)); debug builds check
+    /// it per vertex. Subgraphs from anywhere else go through `absorb`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the subgraph was built for a different `k`, or if
+    /// `partition` is not a shard of a partitioned graph.
+    pub fn absorb_partition(&mut self, partition: usize, sub: SubGraph) {
+        assert_eq!(sub.k(), self.k, "cannot absorb a k={} subgraph into a k={} graph", sub.k(), self.k);
+        let single = self.shards.len() == 1;
+        let home = if single { 0 } else { partition };
+        let (router, p) = (&self.router, self.p);
+        let shard = &mut self.shards[home];
+        let entries = sub.into_entries();
+        shard.reserve(entries.len());
+        for (kmer, data) in entries {
+            debug_assert!(
+                single || router.route_kmer(&kmer, p) == home,
+                "{kmer} does not route to partition {home}"
+            );
+            shard.entry(VertexKey(kmer)).or_default().merge(&data);
         }
     }
 
@@ -237,7 +306,7 @@ impl DeBruijnGraph {
     pub fn merge_vertex(&mut self, kmer: Kmer, data: VertexData) {
         debug_assert!(kmer.is_canonical(), "vertices must be canonical k-mers");
         let shard = self.shard_of(&kmer);
-        self.shards[shard].entry(kmer).or_default().merge(&data);
+        self.shards[shard].entry(VertexKey(kmer)).or_default().merge(&data);
     }
 
     /// The data for a canonical k-mer, if present.
@@ -245,12 +314,12 @@ impl DeBruijnGraph {
         if kmer.k() != self.k {
             return None;
         }
-        self.shards[self.shard_of(kmer)].get(kmer)
+        self.shards[self.shard_of(kmer)].get(&VertexKey(*kmer))
     }
 
     /// Number of distinct vertices (the paper's graph-size metric).
     pub fn distinct_vertices(&self) -> usize {
-        self.shards.iter().map(HashMap::len).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// Total k-mer occurrences merged into the graph.
@@ -271,7 +340,7 @@ impl DeBruijnGraph {
 
     /// Iterates over `(canonical k-mer, data)` in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (&Kmer, &VertexData)> {
-        self.shards.iter().flat_map(HashMap::iter)
+        self.shards.iter().flat_map(|shard| shard.iter().map(|(key, data)| (&key.0, data)))
     }
 
     /// The canonical successors of `kmer` when read in orientation
@@ -340,7 +409,7 @@ impl DeBruijnGraph {
             return false;
         }
         let shard = self.shard_of(kmer);
-        self.shards[shard].remove(kmer).is_some()
+        self.shards[shard].remove(&VertexKey(*kmer)).is_some()
     }
 
     /// Removes vertices whose occurrence count is below `min_count` (the
@@ -531,7 +600,7 @@ mod tests {
         for g in [&sharded, &mixed] {
             assert!(g.shards.iter().filter(|s| !s.is_empty()).count() > 1, "test needs spread");
             for (i, shard) in g.shards.iter().enumerate() {
-                for kmer in shard.keys() {
+                for VertexKey(kmer) in shard.keys() {
                     assert_eq!(router.route_kmer(kmer, p), i, "{kmer} stored in the wrong shard");
                 }
             }
@@ -549,6 +618,43 @@ mod tests {
         assert_eq!(fewer.distinct_vertices(), single.distinct_vertices());
         assert_ne!(fewer.get(&victim), single.get(&victim));
         assert_ne!(fewer, single);
+    }
+
+    #[test]
+    fn absorb_partition_fills_the_home_shard_like_routed_absorb() {
+        let (k, p, n) = (9, 4, 8);
+        let reads: Vec<dna::PackedSeq> = [
+            "ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATGCCGGA",
+            "TTGACCAGTAGGCATTAGCCAGTACGGATCAAAAACCCCCGGGGGTTTTTACGTTGCATGG",
+        ]
+        .iter()
+        .map(|s| dna::PackedSeq::from_ascii(s.as_bytes()))
+        .collect();
+        let parts = msp::partition_in_memory(&reads, k, p, n).unwrap();
+        let mut routed = DeBruijnGraph::partitioned(k, p, n);
+        let mut homed = DeBruijnGraph::partitioned(k, p, n);
+        let mut single = DeBruijnGraph::new(k);
+        for (i, part) in parts.iter().enumerate() {
+            let sub = crate::build_subgraph_serial(part, k).unwrap();
+            routed.absorb(sub.clone());
+            homed.absorb_partition(i, sub.clone());
+            single.absorb_partition(i, sub);
+        }
+        assert_eq!(homed, routed);
+        assert_eq!(single, routed);
+        for (a, b) in homed.shards.iter().zip(&routed.shards) {
+            assert_eq!(a, b, "homed and routed shards hold the same vertices");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not route to partition")]
+    fn absorb_partition_checks_the_route_in_debug_builds() {
+        let mut g = DeBruijnGraph::partitioned(5, 3, 4);
+        let kmer = km("ACGTA").canonical().0;
+        let wrong = (PartitionRouter::new(4).unwrap().route_kmer(&kmer, 3) + 1) % 4;
+        g.absorb_partition(wrong, SubGraph::new(5, vec![(kmer, VertexData::default())]));
     }
 
     #[test]

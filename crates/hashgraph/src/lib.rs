@@ -63,7 +63,8 @@ pub use build::{
 pub use cleaning::{clip_tips, pop_bubbles};
 pub use contention::ContentionStats;
 pub use estimate::{
-    expected_distinct_vertices, projected_table_bytes, table_capacity_for, SizingParams,
+    expected_distinct_vertices, learned_table_capacity, projected_table_bytes, table_capacity_for,
+    SizingParams, LEARNED_HEADROOM,
 };
 pub use graph::{DeBruijnGraph, EdgeDir, SubGraph, VertexData};
 pub use pool::{PooledTable, TablePool};

@@ -508,7 +508,9 @@ impl VertexTable for ConcurrentDbgTable {
     }
 
     fn snapshot(&self) -> SubGraph {
-        let mut entries = Vec::new();
+        // Every insertion claimed one slot, so this reserves exactly the
+        // occupied count once the table is quiescent.
+        let mut entries = Vec::with_capacity(self.stats.insertions.load(Ordering::Relaxed) as usize);
         for slot in 0..self.capacity {
             if self.states[slot].load(Ordering::Acquire) & STATE_MASK != OCCUPIED {
                 continue;

@@ -55,13 +55,14 @@ use hetsim::DeviceKind;
 use msp::{PartitionManifest, QuarantinedPartition};
 use parking_lot::Mutex;
 use pipeline::shard::{
-    connect_tcp, connect_unix, decode_blob, encode_blob, FrameSender, LeaseBoard, Recv,
-    ShardListener, Transport, WireMsg, BLOB_TAG, MAX_FRAME, MAX_PAYLOAD_FRAME, PROTO_VERSION,
+    connect_tcp, connect_unix, decode_blob, encode_blob, is_checksum_mismatch, FrameSender,
+    LeaseBoard, Recv, ShardListener, Transport, WireMsg, BLOB_TAG, MAX_FRAME, MAX_PAYLOAD_FRAME,
+    PROTO_VERSION,
 };
 use pipeline::{failpoint, IoMode, PipelineReport, RetryPolicy, ThrottledIo};
 
 use crate::journal::{Fingerprint, JournalEvent, RunJournal};
-use crate::step2::{build_and_commit_partition, decode_subgraph_checked};
+use crate::step2::{build_and_commit_partition, decode_subgraph_checked, VertexDensity};
 use crate::{ParaHashConfig, ParaHashError, Result, StepReport};
 
 /// Environment variable carrying the parent's Unix socket path into
@@ -411,6 +412,8 @@ struct WorkerSession {
     /// Whether the *current* session received the config; a productive
     /// session refunds the reconnect budget.
     progressed: bool,
+    /// Table-size estimate carried across every lease this process builds.
+    density: VertexDensity,
 }
 
 /// How one connected session ended.
@@ -431,8 +434,13 @@ enum SessionEnd {
 fn run_worker_loop(endpoint: &Endpoint, worker: usize) -> Result<()> {
     let tuning = ShardTuning::from_env();
     let attempts = tuning.reconnect.attempts.max(1);
-    let mut sess =
-        WorkerSession { worker, assigned: 0, served_any: false, progressed: false };
+    let mut sess = WorkerSession {
+        worker,
+        assigned: 0,
+        served_any: false,
+        progressed: false,
+        density: VertexDensity::default(),
+    };
     let mut failures: u32 = 0;
     loop {
         let end = match endpoint.connect() {
@@ -583,17 +591,29 @@ fn serve_session(
         if let Err(e) = conn.send(&WireMsg::Claim(sess.worker).encode()) {
             return Ok(SessionEnd::Lost(format!("sending claim: {e}")));
         }
-        let frame = match conn.recv(MAX_FRAME, Some(tuning.request_timeout)) {
-            Ok(Recv::Frame(frame)) => frame,
-            Ok(Recv::Eof) => return Ok(SessionEnd::Lost("parent closed mid-run".into())),
-            Ok(Recv::TimedOut) => {
-                return Ok(SessionEnd::Lost(format!(
-                    "no claim reply within {}ms",
-                    tuning.request_timeout.as_millis()
-                )))
+        // A wire-mode reply may be preceded by the partition payload of
+        // an `assign` lost to a bad checksum below, hence the payload cap.
+        let cap = if wire { MAX_PAYLOAD_FRAME } else { MAX_FRAME };
+        let frame = loop {
+            match conn.recv(cap, Some(tuning.request_timeout)) {
+                // The payload of that lost `assign`: skip it.
+                Ok(Recv::Frame(frame)) if wire && frame.first() == Some(&BLOB_TAG) => continue,
+                Ok(Recv::Frame(frame)) => break Some(frame),
+                Ok(Recv::Eof) => return Ok(SessionEnd::Lost("parent closed mid-run".into())),
+                Ok(Recv::TimedOut) => {
+                    return Ok(SessionEnd::Lost(format!(
+                        "no claim reply within {}ms",
+                        tuning.request_timeout.as_millis()
+                    )))
+                }
+                // Damaged in transit, read whole: the stream is still in
+                // step. Claim again; the parent refunds the lease this
+                // reply may have carried.
+                Err(e) if is_checksum_mismatch(&e) => break None,
+                Err(e) => return Ok(SessionEnd::Lost(format!("receiving claim reply: {e}"))),
             }
-            Err(e) => return Ok(SessionEnd::Lost(format!("receiving claim reply: {e}"))),
         };
+        let Some(frame) = frame else { continue };
         let reply = match WireMsg::decode(&frame) {
             Ok(msg) => msg,
             // Desync, not protocol death: a dropped `assign` leaves the
@@ -629,6 +649,9 @@ fn serve_session(
                                 tuning.request_timeout.as_millis()
                             )))
                         }
+                        // Damaged in transit: claim again, which has the
+                        // parent refund and re-lease this partition.
+                        Err(e) if is_checksum_mismatch(&e) => continue,
                         Err(e) => {
                             return Ok(SessionEnd::Lost(format!(
                                 "receiving partition {p} payload: {e}"
@@ -668,8 +691,15 @@ fn serve_session(
                 }
                 let ticker =
                     HeartbeatTicker::start(conn.sender(), sess.worker, tuning.heartbeat);
-                let built =
-                    build_and_commit_partition(&config, p, &path, n_kmers, &io, Some(&journal));
+                let built = build_and_commit_partition(
+                    &config,
+                    p,
+                    &path,
+                    n_kmers,
+                    &io,
+                    Some(&journal),
+                    &sess.density,
+                );
                 // Stop (and join) the pulse *before* replying: a
                 // heartbeat must never interleave with the result and
                 // its payload.
@@ -960,6 +990,7 @@ pub(crate) fn run_step2_sharded(
         local.listen = None;
         local.strict = true;
         local.write_subgraphs = true;
+        let density = VertexDensity::default();
         for p in orphans {
             match build_and_commit_partition(
                 &local,
@@ -968,6 +999,7 @@ pub(crate) fn run_step2_sharded(
                 manifest.stats()[p].kmers,
                 io,
                 journal,
+                &density,
             ) {
                 Ok(out) => {
                     stats.resizes += out.resizes;
@@ -1142,6 +1174,13 @@ fn serve_worker(
                     );
                     return Ok(());
                 }
+                // Damaged in transit: a link fault, not the partition's.
+                // Take the leases back with a refund and let the worker
+                // reconnect.
+                Err(e) if is_checksum_mismatch(&e) => {
+                    board.lock().reclaim(worker, &format!("sent a damaged frame: {e}"));
+                    return Ok(());
+                }
                 Err(e) => {
                     board.lock().release_worker(worker, &format!("connection failed: {e}"));
                     return Ok(());
@@ -1159,8 +1198,9 @@ fn serve_worker(
                 let leased = {
                     let mut board = board.lock();
                     // One lease at a time: a lease this worker still
-                    // holds lost its report on the wire.
-                    board.reclaim(worker);
+                    // holds lost its report, or its `assign` or payload,
+                    // on the wire.
+                    board.reclaim(worker, "claimed again while holding the lease");
                     board.claim(worker)
                 };
                 match leased {
@@ -1226,6 +1266,13 @@ fn serve_worker(
                                     }
                                     Err(_) => break None,
                                 }
+                            }
+                            Err(e) if is_checksum_mismatch(&e) => {
+                                board.lock().reclaim(
+                                    worker,
+                                    &format!("sent a damaged subgraph payload: {e}"),
+                                );
+                                return Ok(());
                             }
                             _ => break None,
                         }

@@ -4,8 +4,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use hashgraph::{
-    table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError, ReplayKernel, SubGraph,
-    TablePool, VertexTable,
+    learned_table_capacity, table_capacity_for, ContentionStats, DeBruijnGraph, HashGraphError,
+    ReplayKernel, SubGraph, TablePool, VertexTable,
 };
 use hetsim::{Device, DeviceKind};
 use msp::{
@@ -55,23 +55,47 @@ const MAX_SUB_FANOUT: usize = 256;
 /// that a resumed run's subgraph files are *byte-identical* to an
 /// uninterrupted run's — only a canonical order survives that comparison.
 pub fn encode_subgraph(sub: &SubGraph) -> Vec<u8> {
-    let mut entries: Vec<&(dna::Kmer, hashgraph::VertexData)> = sub.entries().iter().collect();
-    entries.sort_by_key(|(kmer, _)| *kmer);
-    let mut out = Vec::with_capacity(9 + entries.len() * VERTEX_BYTES + 4);
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    out.push(sub.k() as u8);
-    for (kmer, data) in entries {
-        for w in kmer.words() {
-            out.extend_from_slice(&w.to_le_bytes());
+    let entries = sub.entries();
+    // One pass over a buffer sized up front: every record has a fixed
+    // width and a fixed offset once the order is known.
+    let mut out = vec![0u8; 9 + entries.len() * VERTEX_BYTES + 4];
+    out[..8].copy_from_slice(&(entries.len() as u64).to_le_bytes());
+    out[8] = sub.k() as u8;
+    let records = out[9..9 + entries.len() * VERTEX_BYTES].chunks_exact_mut(VERTEX_BYTES);
+    if sub.k() <= 32 {
+        // Every key is one word with words 1–3 zero, so k-mer order is
+        // the order of word 0 (vertices are distinct, so no ties): sort
+        // 16-byte `(word0, index)` pairs instead of 40-byte keys.
+        let mut order: Vec<(u64, usize)> =
+            entries.iter().enumerate().map(|(i, (kmer, _))| (kmer.words()[0], i)).collect();
+        order.sort_unstable();
+        for (record, &(_, i)) in records.zip(&order) {
+            write_record(record, &entries[i]);
         }
-        out.extend_from_slice(&data.count.to_le_bytes());
-        for e in &data.edges {
-            out.extend_from_slice(&e.to_le_bytes());
+    } else {
+        let mut order: Vec<&(dna::Kmer, hashgraph::VertexData)> = entries.iter().collect();
+        order.sort_unstable_by_key(|(kmer, _)| *kmer);
+        for (record, entry) in records.zip(order) {
+            write_record(record, entry);
         }
     }
-    let crc = msp::crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let body = out.len() - 4;
+    let crc = msp::crc32(&out[..body]);
+    out[body..].copy_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// Writes one `VERTEX_BYTES` record: 4 key words, count, 8 edge counters.
+#[inline]
+fn write_record(record: &mut [u8], (kmer, data): &(dna::Kmer, hashgraph::VertexData)) {
+    let (key, counters) = record.split_at_mut(32);
+    for (bytes, w) in key.chunks_exact_mut(8).zip(kmer.words()) {
+        bytes.copy_from_slice(&w.to_le_bytes());
+    }
+    let values = std::iter::once(&data.count).chain(&data.edges);
+    for (bytes, v) in counters.chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Parses the format written by [`encode_subgraph`]. Used by tests and by
@@ -181,8 +205,10 @@ pub fn decode_subgraph_checked(bytes: &[u8], partition: Option<usize>) -> Result
 ///
 /// Each superkmer partition is read from disk (checksummed frames are
 /// verified in place), decoded, and replayed into a
-/// [`ConcurrentDbgTable`] sized by the Property-1 rule from the
-/// manifest's per-partition k-mer count. On a GPU device, the encoded
+/// [`ConcurrentDbgTable`] sized from the manifest's per-partition k-mer
+/// count: by the Property-1 rule for the first table, then by the vertex
+/// density the finished tables measured ([`learned_table_capacity`]),
+/// never above the Property-1 size. On a GPU device, the encoded
 /// partition pays the host→device transfer and the table reserves device
 /// memory; the snapshot pays the device→host transfer.
 ///
@@ -229,7 +255,8 @@ pub(crate) fn run_step2_with(
 ) -> Result<(DeBruijnGraph, StepReport)> {
     let n = manifest.num_partitions();
     let cancel = CancelToken::new();
-    let shared = Step2Shared::new(config, &cancel, journal)?;
+    let density = VertexDensity::default();
+    let shared = Step2Shared::new(config, &cancel, journal, &density)?;
     let mut graph = config.empty_graph();
 
     let pipeline_report = {
@@ -317,7 +344,8 @@ pub(crate) fn run_step2_streaming(
     skip: &BTreeSet<usize>,
     warm: Option<TunerWarmStart>,
 ) -> Result<(DeBruijnGraph, StepReport)> {
-    let shared = Step2Shared::new(config, cancel, journal)?;
+    let density = VertexDensity::default();
+    let shared = Step2Shared::new(config, cancel, journal, &density)?;
     let mut graph = config.empty_graph();
     let n_gpus =
         config.devices().iter().filter(|d| d.kind() == DeviceKind::SimGpu).count();
@@ -366,12 +394,40 @@ pub(crate) fn run_step2_streaming(
     shared.finish(pipeline_report, graph, Some(&tuner))
 }
 
+/// The worst distinct-vertices / k-mer-occurrence ratio measured over
+/// the tables built so far — by one Step-2 run, or by one shard worker
+/// across all its leases. Tables after the first are sized from it
+/// ([`learned_table_capacity`]) instead of the Property-1 prior.
+#[derive(Debug, Default)]
+pub(crate) struct VertexDensity(AtomicU64);
+
+impl VertexDensity {
+    /// Folds in one finished table: `distinct` vertices from `n_kmers`
+    /// occurrences.
+    fn observe(&self, distinct: usize, n_kmers: u64) {
+        if n_kmers > 0 {
+            // Non-negative f64s order like their bit patterns, so the
+            // integer max is the float max.
+            let ratio = distinct as f64 / n_kmers as f64;
+            self.0.fetch_max(ratio.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// The worst ratio so far; `None` until a table with a vertex exists.
+    fn worst(&self) -> Option<f64> {
+        let bits = self.0.load(Ordering::Relaxed);
+        (bits != 0).then(|| f64::from_bits(bits))
+    }
+}
+
 /// The machinery both Step-2 entry points share: failure routing
 /// (fatal-vs-quarantine), the pooled capacity-retry hash construction,
 /// subgraph absorption/persistence, and report assembly.
 struct Step2Shared<'a> {
     config: &'a ParaHashConfig,
     cancel: &'a CancelToken,
+    /// Sizes every table after the first (see [`VertexDensity`]).
+    density: &'a VertexDensity,
     /// Recycles table allocations across partitions (and across the
     /// capacity-retry rebuilds): the alloc+zero churn of one fresh
     /// `ConcurrentDbgTable` per partition becomes a handful of
@@ -410,6 +466,7 @@ impl<'a> Step2Shared<'a> {
         config: &'a ParaHashConfig,
         cancel: &'a CancelToken,
         journal: Option<&'a RunJournal>,
+        density: &'a VertexDensity,
     ) -> Result<Step2Shared<'a>> {
         let sub_dir = config.work_dir.join("subgraphs");
         if config.write_subgraphs {
@@ -418,6 +475,7 @@ impl<'a> Step2Shared<'a> {
         Ok(Step2Shared {
             config,
             cancel,
+            density,
             journal,
             pool: TablePool::new(config.k),
             total_contention: Mutex::new(ContentionStats::default()),
@@ -549,9 +607,12 @@ impl<'a> Step2Shared<'a> {
     }
 
     /// One table build: index the framed bytes once, then hash-construct
-    /// with pooled tables, retrying with a bigger checkout if the
-    /// Property-1 estimate under-sized the table. `None` means the
-    /// failure was already routed through
+    /// with pooled tables, retrying with a bigger checkout if the size
+    /// estimate was too small. The first table of a run takes the
+    /// Property-1 prior; later ones take the size learned from the
+    /// densest table so far, which is never above the prior. A learned
+    /// size that runs out retries once at the prior, then doubles like
+    /// any other retry. `None` means the failure was already routed through
     /// [`partition_failed`](Self::partition_failed) / [`fatal`](Self::fatal).
     fn build_one_table(
         &self,
@@ -574,7 +635,13 @@ impl<'a> Step2Shared<'a> {
                 return None;
             }
         };
-        let mut capacity = table_capacity_for(n_kmers, self.config.sizing);
+        let prior = table_capacity_for(n_kmers, self.config.sizing);
+        let learned = self
+            .density
+            .worst()
+            .map(|density| learned_table_capacity(n_kmers, density, self.config.sizing));
+        let mut capacity = learned.unwrap_or(prior);
+        let mut prior_untried = learned.is_some();
         let mut resizes = 0usize;
         loop {
             // Checked out from the pool: a recycled allocation when one
@@ -616,6 +683,7 @@ impl<'a> Step2Shared<'a> {
             match kernel_error.into_inner() {
                 None => {
                     let subgraph = table.snapshot();
+                    self.density.observe(subgraph.len(), n_kmers);
                     if is_gpu {
                         device.transfer_from_device((subgraph.len() * VERTEX_BYTES) as u64);
                         device.free(table_bytes);
@@ -629,8 +697,15 @@ impl<'a> Step2Shared<'a> {
                     resizes += 1;
                     // Double from the capacity actually granted (the pool
                     // rounds up to its class), so the retry is guaranteed
-                    // a strictly larger class.
-                    capacity = table.capacity().saturating_mul(2).max(32);
+                    // a strictly larger class — unless a learned size
+                    // ran out and the prior is a larger class still.
+                    capacity = if std::mem::take(&mut prior_untried)
+                        && TablePool::capacity_class(prior) > table.capacity()
+                    {
+                        prior
+                    } else {
+                        table.capacity().saturating_mul(2).max(32)
+                    };
                 }
                 Some(e) => {
                     if is_gpu {
@@ -644,7 +719,9 @@ impl<'a> Step2Shared<'a> {
     }
 
     /// The output stage: persist (when configured) and absorb the
-    /// subgraph. See [`commit`](Self::commit) for what is skipped.
+    /// subgraph. See [`commit`](Self::commit) for what is skipped. The
+    /// subgraph was built here from partition `idx`'s own superkmers,
+    /// so it goes straight into shard `idx` without routing a vertex.
     fn consume(
         &self,
         io: &ThrottledIo,
@@ -653,7 +730,7 @@ impl<'a> Step2Shared<'a> {
         out: Option<Part2Out>,
     ) {
         if let Some(subgraph) = self.commit(io, idx, out) {
-            graph.absorb(subgraph);
+            graph.absorb_partition(idx, subgraph);
         }
     }
 
@@ -793,7 +870,8 @@ pub(crate) struct StandaloneOutcome {
 /// committed file *is* the result channel back to the parent, so the
 /// caller's config must have `write_subgraphs` forced on, and `strict`
 /// on so every failure surfaces as an error (the parent owns
-/// quarantine policy, not the worker).
+/// quarantine policy, not the worker). `density` carries the table-size
+/// estimate from one lease to the next.
 ///
 /// # Errors
 ///
@@ -805,10 +883,11 @@ pub(crate) fn build_and_commit_partition(
     n_kmers: u64,
     io: &ThrottledIo,
     journal: Option<&RunJournal>,
+    density: &VertexDensity,
 ) -> Result<StandaloneOutcome> {
     debug_assert!(config.strict && config.write_subgraphs);
     let cancel = CancelToken::new();
-    let shared = Step2Shared::new(config, &cancel, journal)?;
+    let shared = Step2Shared::new(config, &cancel, journal, density)?;
     let bytes = io.read_file(path).map_err(ParaHashError::Io)?;
     let (out, _) = shared.build(config.devices()[0].as_ref(), idx, &bytes, n_kmers);
     // The committed file is the result; nothing here reads the graph,
@@ -916,6 +995,55 @@ mod tests {
         b.sort_by_key(|x| x.0);
         assert_eq!(a, b);
         std::fs::remove_dir_all(cfg.work_dir()).unwrap();
+    }
+
+    /// The format spelled out field by field, records in `Kmer` order.
+    fn reference_encoding(k: usize, entries: &[(dna::Kmer, hashgraph::VertexData)]) -> Vec<u8> {
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|(kmer, _)| *kmer);
+        let mut out = (sorted.len() as u64).to_le_bytes().to_vec();
+        out.push(k as u8);
+        for (kmer, data) in &sorted {
+            for w in kmer.words() {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+            out.extend_from_slice(&data.count.to_le_bytes());
+            for e in &data.edges {
+                out.extend_from_slice(&e.to_le_bytes());
+            }
+        }
+        let crc = msp::crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn encoding_matches_the_field_by_field_format_in_kmer_order() {
+        let seq = dna::PackedSeq::from_ascii(
+            &b"ACGTTGCATGGACCAGTTACGGATCAGGCATTAGCCAGTACGGATCACCGTATGCAATGCCGGATTAACGT".repeat(2),
+        );
+        // Both encode paths: one key word (k <= 32) and several.
+        for k in [7usize, 31, 32, 33, 40] {
+            let mut entries: Vec<_> = seq
+                .kmers(k)
+                .enumerate()
+                .map(|(i, kmer)| {
+                    let data = hashgraph::VertexData {
+                        count: i as u32 + 1,
+                        edges: std::array::from_fn(|e| (i * 8 + e) as u32),
+                    };
+                    (kmer.canonical().0, data)
+                })
+                .collect();
+            entries.sort_by_key(|(kmer, _)| *kmer);
+            entries.dedup_by_key(|(kmer, _)| *kmer);
+            // Reverse, so the encoder has to sort.
+            entries.reverse();
+            let sub = SubGraph::new(k, entries.clone());
+            assert_eq!(encode_subgraph(&sub), reference_encoding(k, &entries), "k={k}");
+        }
+        let empty = SubGraph::new(5, Vec::new());
+        assert_eq!(encode_subgraph(&empty), reference_encoding(5, &[]));
     }
 
     #[test]

@@ -118,6 +118,55 @@ impl PipelineReport {
     }
 }
 
+/// How many partitions a pipeline over `devices` devices lets in flight
+/// at once: read by the input stage but not yet consumed by the output
+/// stage. Two per device (one computing, one read ahead for it) plus
+/// [`OUTPUT_LAG`] for the output stage. Without a bound the input stage
+/// would read every partition before the devices finished the first,
+/// and host memory would hold the whole input instead of a few
+/// partitions per device.
+pub fn read_ahead_bound(devices: usize) -> usize {
+    2 * devices + OUTPUT_LAG
+}
+
+/// Partitions the output stage may fall behind the devices before they
+/// stall for lack of input: the one it is writing plus three finished
+/// ones. Its commits fsync, and one slow fsync should not idle every
+/// device.
+const OUTPUT_LAG: usize = 4;
+
+/// The read-ahead bound as credits: the input stage takes one before it
+/// reads a partition, the output stage returns one after it consumes a
+/// partition. Built on [`SharedCounterQueue`], so [`close`](Self::close)
+/// wakes an input stage blocked on an empty credit queue.
+struct ReadAhead(SharedCounterQueue<()>);
+
+impl ReadAhead {
+    /// Credits for a stream of at most `stream_len` partitions.
+    fn new(devices: usize, stream_len: usize) -> ReadAhead {
+        let bound = read_ahead_bound(devices);
+        let credits = SharedCounterQueue::new(stream_len + bound);
+        for _ in 0..bound {
+            credits.push(());
+        }
+        ReadAhead(credits)
+    }
+
+    /// Blocks until one more partition may be read; `false` once closed.
+    fn admit(&self) -> bool {
+        self.0.pop().is_some()
+    }
+
+    /// A partition left the pipeline: one more may be read.
+    fn release(&self) {
+        self.0.push(());
+    }
+
+    fn close(&self) {
+        self.0.close();
+    }
+}
+
 /// Runs `total` partitions through the paper's three-stage work-stealing
 /// pipeline:
 ///
@@ -162,6 +211,7 @@ where
 struct PanicGuard<'a, A, B> {
     in_q: &'a SharedCounterQueue<A>,
     out_q: &'a SharedCounterQueue<B>,
+    read_ahead: &'a ReadAhead,
     cancel: &'a CancelToken,
 }
 
@@ -169,6 +219,7 @@ impl<A, B> Drop for PanicGuard<'_, A, B> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.cancel.cancel();
+            self.read_ahead.close();
             self.in_q.close();
             self.out_q.close();
         }
@@ -218,6 +269,7 @@ where
     let in_queue: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(total);
     let out_queue: SharedCounterQueue<(usize, O, usize, u64, Duration)> =
         SharedCounterQueue::new(total);
+    let read_ahead = ReadAhead::new(devices.len(), total);
     let spans: Mutex<Vec<Span>> = Mutex::new(Vec::with_capacity(3 * total));
     let record = |stage: Stage, worker: &str, partition: usize, t0: Instant| {
         spans.lock().push(Span {
@@ -240,14 +292,15 @@ where
         // Stage 1: input.
         let in_q = &in_queue;
         let out_q = &out_queue;
+        let read_ahead = &read_ahead;
         let record = &record;
         let input_handle = s.spawn({
             let mut produce = produce;
             move || {
-                let _guard = PanicGuard { in_q, out_q, cancel };
+                let _guard = PanicGuard { in_q, out_q, read_ahead, cancel };
                 let mut spent = Duration::ZERO;
                 for i in 0..total {
-                    if cancel.is_cancelled() {
+                    if cancel.is_cancelled() || !read_ahead.admit() {
                         break;
                     }
                     let t0 = Instant::now();
@@ -257,6 +310,7 @@ where
                     in_q.push((i, item));
                 }
                 if cancel.is_cancelled() {
+                    read_ahead.close();
                     in_q.close();
                     out_q.close();
                 }
@@ -269,7 +323,7 @@ where
         for (dev_idx, device) in devices.iter().enumerate() {
             let device = Arc::clone(device);
             s.spawn(move || {
-                let _guard = PanicGuard { in_q, out_q, cancel };
+                let _guard = PanicGuard { in_q, out_q, read_ahead, cancel };
                 while !cancel.is_cancelled() {
                     let Some((index, item)) = in_q.pop() else { break };
                     if cancel.is_cancelled() {
@@ -283,6 +337,7 @@ where
                 }
                 if cancel.is_cancelled() {
                     // First observer releases every blocked peer.
+                    read_ahead.close();
                     in_q.close();
                     out_q.close();
                 }
@@ -292,11 +347,12 @@ where
         // Stage 3: output, on this thread (the scope owner); the guard
         // covers a panicking `consume` so spawned stages drain instead of
         // blocking the scope's implicit join forever.
-        let _guard = PanicGuard { in_q, out_q, cancel };
+        let _guard = PanicGuard { in_q, out_q, read_ahead, cancel };
         let mut consumed = 0;
         while let Some((index, output, dev_idx, work, busy)) = out_queue.pop() {
             let t0 = Instant::now();
             consume(index, output);
+            read_ahead.release();
             output_time += t0.elapsed();
             record(Stage::Output, "io", index, t0);
             let share = &mut shares[dev_idx];
@@ -309,6 +365,7 @@ where
             }
         }
         if cancel.is_cancelled() {
+            read_ahead.close();
             in_queue.close();
             out_queue.close();
         }
@@ -335,6 +392,7 @@ struct StreamingPanicGuard<'a, T, A, B> {
     feed: &'a SharedCounterQueue<T>,
     in_q: &'a SharedCounterQueue<A>,
     out_q: &'a SharedCounterQueue<B>,
+    read_ahead: &'a ReadAhead,
     cancel: &'a CancelToken,
 }
 
@@ -342,6 +400,7 @@ impl<T, A, B> Drop for StreamingPanicGuard<'_, T, A, B> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.cancel.cancel();
+            self.read_ahead.close();
             self.feed.close();
             self.in_q.close();
             self.out_q.close();
@@ -400,6 +459,7 @@ where
     let in_queue: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(bound);
     let out_queue: SharedCounterQueue<(usize, O, usize, u64, Duration)> =
         SharedCounterQueue::new(bound);
+    let read_ahead = ReadAhead::new(devices.len(), bound);
     let spans: Mutex<Vec<Span>> = Mutex::new(Vec::with_capacity(3 * bound));
     let record = |stage: Stage, worker: &str, partition: usize, t0: Instant| {
         spans.lock().push(Span {
@@ -425,6 +485,7 @@ where
     std::thread::scope(|s| {
         let in_q = &in_queue;
         let out_q = &out_queue;
+        let read_ahead = &read_ahead;
         let active = &active_drivers;
         let record = &record;
 
@@ -432,9 +493,9 @@ where
         let input_handle = s.spawn({
             let mut produce = produce;
             move || {
-                let _guard = StreamingPanicGuard { feed, in_q, out_q, cancel };
+                let _guard = StreamingPanicGuard { feed, in_q, out_q, read_ahead, cancel };
                 let mut spent = Duration::ZERO;
-                while !cancel.is_cancelled() {
+                while !cancel.is_cancelled() && read_ahead.admit() {
                     let Some(t) = feed.pop() else { break };
                     let t0 = Instant::now();
                     let (index, item) = produce(t);
@@ -446,6 +507,7 @@ where
                 in_q.finish();
                 if cancel.is_cancelled() {
                     feed.close();
+                    read_ahead.close();
                     in_q.close();
                     out_q.close();
                 }
@@ -458,7 +520,7 @@ where
         for (dev_idx, device) in devices.iter().enumerate() {
             let device = Arc::clone(device);
             s.spawn(move || {
-                let _guard = StreamingPanicGuard { feed, in_q, out_q, cancel };
+                let _guard = StreamingPanicGuard { feed, in_q, out_q, read_ahead, cancel };
                 while !cancel.is_cancelled() {
                     let Some((index, item)) = in_q.pop() else { break };
                     if cancel.is_cancelled() {
@@ -475,6 +537,7 @@ where
                 }
                 if cancel.is_cancelled() {
                     feed.close();
+                    read_ahead.close();
                     in_q.close();
                     out_q.close();
                 }
@@ -482,10 +545,11 @@ where
         }
 
         // Stage 3: output, on the scope owner.
-        let _guard = StreamingPanicGuard { feed, in_q, out_q, cancel };
+        let _guard = StreamingPanicGuard { feed, in_q, out_q, read_ahead, cancel };
         while let Some((index, output, dev_idx, work, busy)) = out_queue.pop() {
             let t0 = Instant::now();
             consume(index, output);
+            read_ahead.release();
             output_time += t0.elapsed();
             record(Stage::Output, "io", index, t0);
             let share = &mut shares[dev_idx];
@@ -499,6 +563,7 @@ where
         }
         if cancel.is_cancelled() {
             feed.close();
+            read_ahead.close();
             in_queue.close();
             out_queue.close();
         }
@@ -525,6 +590,7 @@ struct SteeredPanicGuard<'a, T, A, B> {
     cpu_q: &'a SharedCounterQueue<A>,
     gpu_q: &'a SharedCounterQueue<A>,
     out_q: &'a SharedCounterQueue<B>,
+    read_ahead: &'a ReadAhead,
     cancel: &'a CancelToken,
 }
 
@@ -532,6 +598,7 @@ impl<T, A, B> Drop for SteeredPanicGuard<'_, T, A, B> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.cancel.cancel();
+            self.read_ahead.close();
             self.feed.close();
             self.cpu_q.close();
             self.gpu_q.close();
@@ -601,6 +668,7 @@ where
     let gpu_queue: SharedCounterQueue<(usize, I)> = SharedCounterQueue::new(bound);
     let out_queue: SharedCounterQueue<(usize, O, usize, u64, Duration)> =
         SharedCounterQueue::new(bound);
+    let read_ahead = ReadAhead::new(devices.len(), bound);
     let spans: Mutex<Vec<Span>> = Mutex::new(Vec::with_capacity(3 * bound));
     let record = |stage: Stage, worker: &str, partition: usize, t0: Instant| {
         spans.lock().push(Span {
@@ -628,6 +696,7 @@ where
         let cpu_q = &cpu_queue;
         let gpu_q = &gpu_queue;
         let out_q = &out_queue;
+        let read_ahead = &read_ahead;
         let active = &active_drivers;
         let record = &record;
 
@@ -636,9 +705,9 @@ where
         let input_handle = s.spawn({
             let mut produce = produce;
             move || {
-                let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, cancel };
+                let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, read_ahead, cancel };
                 let mut spent = Duration::ZERO;
-                while !cancel.is_cancelled() {
+                while !cancel.is_cancelled() && read_ahead.admit() {
                     let Some(t) = feed.pop() else { break };
                     let t0 = Instant::now();
                     let (index, item) = produce(t);
@@ -660,6 +729,7 @@ where
                 gpu_q.finish();
                 if cancel.is_cancelled() {
                     feed.close();
+                    read_ahead.close();
                     cpu_q.close();
                     gpu_q.close();
                     out_q.close();
@@ -674,7 +744,7 @@ where
             let device = Arc::clone(device);
             let is_gpu = gpu_class[dev_idx];
             s.spawn(move || {
-                let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, cancel };
+                let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, read_ahead, cancel };
                 let own_q = if is_gpu { gpu_q } else { cpu_q };
                 while !cancel.is_cancelled() {
                     let Some((index, item)) = own_q.pop() else { break };
@@ -693,6 +763,7 @@ where
                 }
                 if cancel.is_cancelled() {
                     feed.close();
+                    read_ahead.close();
                     cpu_q.close();
                     gpu_q.close();
                     out_q.close();
@@ -701,10 +772,11 @@ where
         }
 
         // Stage 3: output, on the scope owner.
-        let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, cancel };
+        let _guard = SteeredPanicGuard { feed, cpu_q, gpu_q, out_q, read_ahead, cancel };
         while let Some((index, output, dev_idx, work, busy)) = out_queue.pop() {
             let t0 = Instant::now();
             consume(index, output);
+            read_ahead.release();
             let took = t0.elapsed();
             output_time += took;
             steer.observe_output(took);
@@ -720,6 +792,7 @@ where
         }
         if cancel.is_cancelled() {
             feed.close();
+            read_ahead.close();
             cpu_queue.close();
             gpu_queue.close();
             out_queue.close();
@@ -740,10 +813,12 @@ where
     }
 }
 
-/// The non-pipelined baseline for Fig 12: input **all** partitions, then
-/// compute **all** on the single given device, then output **all**. The
-/// report's `input_time`/`output_time`/device-busy sum to (almost exactly)
-/// `elapsed`, which is the point of the comparison.
+/// A non-pipelined reference run: input **all** partitions, then compute
+/// **all** on the single given device, then output **all**. The report's
+/// `input_time`/`output_time`/device-busy sum to (almost exactly)
+/// `elapsed`. Only the scheduler's tests use it, as the baseline the
+/// pipelined run must beat; the Fig 12 harness instead sums a pipelined
+/// run's own stage times.
 ///
 /// # Panics
 ///
@@ -1433,5 +1508,110 @@ mod tests {
             )
         }));
         assert!(result.is_err(), "consume panic must propagate");
+    }
+
+    /// Counts partitions between the input stage's `produce` and the
+    /// output stage's `consume`, keeping the high-water mark.
+    #[derive(Default)]
+    struct Outstanding {
+        now: std::sync::atomic::AtomicUsize,
+        max: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Outstanding {
+        fn enter(&self) {
+            use std::sync::atomic::Ordering::SeqCst;
+            let now = self.now.fetch_add(1, SeqCst) + 1;
+            self.max.fetch_max(now, SeqCst);
+        }
+
+        fn leave(&self) {
+            self.now.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        fn max(&self) -> usize {
+            self.max.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn read_ahead_stays_within_the_device_bound() {
+        // Instant input against slow compute and output: unbounded, the
+        // input stage would read all 40 partitions at once.
+        for devices in [vec![cpu(1)], vec![cpu(1), cpu(2)]] {
+            let bound = read_ahead_bound(devices.len());
+            let outstanding = Outstanding::default();
+            let report = run_coprocessed_with(
+                40,
+                &devices,
+                &CancelToken::new(),
+                |i| {
+                    outstanding.enter();
+                    i
+                },
+                |_, _, v| {
+                    std::thread::sleep(Duration::from_micros(300));
+                    (v, 1u64)
+                },
+                |_, _| {
+                    std::thread::sleep(Duration::from_micros(300));
+                    outstanding.leave();
+                },
+            );
+            assert_eq!(report.total_work(), 40);
+            assert!(outstanding.max() <= bound, "{} in flight > {bound}", outstanding.max());
+            assert!(outstanding.max() >= 2, "the input stage still reads ahead");
+        }
+
+        use crate::autotune::SplitPolicy;
+        let outstanding = Outstanding::default();
+        let report = run_coprocessed_streaming_steered(
+            &fed(40),
+            &[cpu(1), slow_gpu(0)],
+            &CancelToken::new(),
+            &tuner(SplitPolicy::Static(0.5)),
+            |i| {
+                outstanding.enter();
+                (i, i)
+            },
+            |_, _, v| {
+                std::thread::sleep(Duration::from_micros(300));
+                (v, 1u64)
+            },
+            |_, _| {
+                std::thread::sleep(Duration::from_micros(300));
+                outstanding.leave();
+            },
+        );
+        assert_eq!(report.partitions, 40);
+        assert!(outstanding.max() <= read_ahead_bound(2), "{} in flight", outstanding.max());
+    }
+
+    #[test]
+    fn cancel_wakes_an_input_stage_waiting_on_read_ahead() {
+        // The output stage stalls on its first partition, so the input
+        // stage fills the bound and blocks; cancelling from the output
+        // stage must release it (the test hangs otherwise).
+        let cancel = CancelToken::new();
+        let produced = std::sync::atomic::AtomicUsize::new(0);
+        let report = run_coprocessed_with(
+            64,
+            &[cpu(1)],
+            &cancel,
+            |i| {
+                produced.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                i
+            },
+            |_, _, v| (v, 1u64),
+            |_, _| {
+                std::thread::sleep(Duration::from_millis(50));
+                cancel.cancel();
+            },
+        );
+        assert!(report.cancelled);
+        // The bound, plus one for the credit the consumed partition
+        // returned before the cancel.
+        let produced = produced.into_inner();
+        assert!(produced <= read_ahead_bound(1) + 1, "read {produced} partitions ahead");
     }
 }

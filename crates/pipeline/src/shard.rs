@@ -60,6 +60,13 @@
 //! on the wire; [`LeaseBoard::reclaim`] requeues that lease without
 //! charging an attempt.
 //!
+//! A frame whose checksum fails ([`is_checksum_mismatch`]) was corrupted
+//! in transit, a link fault like a lost frame. The parent takes back the
+//! sender's leases through the same refund and drops the connection; a
+//! worker skips the frame and claims again, which has the parent refund
+//! the lease the frame belonged to. [`MAX_LINK_REFUNDS`] caps the
+//! refunds per partition.
+//!
 //! # Fault injection
 //!
 //! [`write_frame`] consults the network failpoint sites
@@ -200,11 +207,36 @@ pub fn recv_frame(r: &mut impl Read, cap: u32) -> std::io::Result<Recv> {
     read_payload(r, len, &mut payload)?;
     let computed = wire_crc32(&payload);
     if computed != stored {
-        return Err(bad(format!(
-            "wire frame checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-        )));
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            ChecksumMismatch { stored, computed },
+        ));
     }
     Ok(Recv::Frame(payload))
+}
+
+/// A frame whose payload fails its CRC: the whole frame was read, so the
+/// stream is still in step, but the bytes were damaged on the way.
+#[derive(Debug)]
+struct ChecksumMismatch {
+    stored: u32,
+    computed: u32,
+}
+
+impl std::fmt::Display for ChecksumMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (stored, computed) = (self.stored, self.computed);
+        write!(f, "wire frame checksum mismatch (stored {stored:#010x}, computed {computed:#010x})")
+    }
+}
+
+impl std::error::Error for ChecksumMismatch {}
+
+/// Whether a [`recv_frame`] error is a checksum mismatch: a frame
+/// corrupted in transit (a link fault) rather than a torn, stalled or
+/// oversized one.
+pub fn is_checksum_mismatch(e: &std::io::Error) -> bool {
+    e.get_ref().is_some_and(|inner| inner.is::<ChecksumMismatch>())
 }
 
 /// The least a frame payload buffer grows by at a time.
@@ -685,7 +717,14 @@ pub struct ExhaustedLease {
 /// eviction* (heartbeat loss, deadline overrun) requeues all its
 /// outstanding leases the same way. A partition that fails
 /// `max_attempts` times moves to the exhausted list and is never
-/// leased again.
+/// leased again. A lease lost to the link rather than the partition
+/// ([`reclaim`](Self::reclaim)) is refunded, at most
+/// [`MAX_LINK_REFUNDS`] times per partition.
+/// How many lost leases [`LeaseBoard::reclaim`] refunds per partition.
+/// Past it a link fault is charged like a failure, so a peer that only
+/// ever sends garbage still exhausts the partition.
+pub const MAX_LINK_REFUNDS: usize = 4;
+
 #[derive(Debug)]
 pub struct LeaseBoard {
     /// Partitions awaiting a lease, front = next out.
@@ -694,6 +733,8 @@ pub struct LeaseBoard {
     leased: Vec<(usize, usize)>,
     /// Lease attempts consumed per partition (indexed by partition id).
     attempts: Vec<usize>,
+    /// Attempts refunded by [`reclaim`](Self::reclaim), per partition.
+    refunds: Vec<usize>,
     /// Last failure reason per partition (empty = never failed).
     last_reason: Vec<String>,
     /// Partitions that hit the attempt cap.
@@ -714,6 +755,7 @@ impl LeaseBoard {
             pending: order.into(),
             leased: Vec::new(),
             attempts: vec![0; n],
+            refunds: vec![0; n],
             last_reason: vec![String::new(); n],
             exhausted: Vec::new(),
             done: Vec::new(),
@@ -733,23 +775,26 @@ impl LeaseBoard {
         Some(p)
     }
 
-    /// Takes back every lease `worker` holds, refunding the attempt each
-    /// one spent. The worker protocol holds one lease at a time (claim,
+    /// Takes back every lease `worker` holds after a link fault: the
+    /// lease was lost on the wire, not failed by the partition. Two cases
+    /// reach here. The worker protocol holds one lease at a time (claim,
     /// build, report, claim), so a worker that asks for more work while
-    /// still holding a lease has had its report for that lease lost on
-    /// the wire: the link failed, not the partition. The caller runs
-    /// this before answering such a `claim`. The partitions go back to
-    /// the *front* of the queue, as after a failure, but without the
-    /// charge.
-    pub fn reclaim(&mut self, worker: usize) {
-        let (attempts, pending) = (&mut self.attempts, &mut self.pending);
-        self.leased.retain(|&(p, w)| {
-            if w == worker {
-                attempts[p] -= 1;
-                pending.push_front(p);
+    /// still holding a lease has had its report for that lease lost. And
+    /// a frame that arrives with a bad checksum was corrupted in transit.
+    /// Each partition goes back to the *front* of the queue, as after a
+    /// failure, with its attempt refunded — at most [`MAX_LINK_REFUNDS`]
+    /// times per partition; past that the loss is charged like
+    /// [`release_worker`](Self::release_worker) with `why`.
+    pub fn reclaim(&mut self, worker: usize, why: &str) {
+        for p in self.take_leases(worker) {
+            if self.refunds[p] < MAX_LINK_REFUNDS {
+                self.refunds[p] += 1;
+                self.attempts[p] -= 1;
+                self.pending.push_front(p);
+            } else {
+                self.charge(p, worker, format!("worker {worker} {why}"));
             }
-            w != worker
-        });
+        }
     }
 
     /// Marks a leased partition built. Unknown/unleased partitions are
@@ -768,17 +813,7 @@ impl LeaseBoard {
             return;
         };
         let (_, worker) = self.leased.swap_remove(at);
-        self.last_reason[partition] = reason.to_string();
-        if self.attempts[partition] >= self.max_attempts {
-            self.exhausted.push(ExhaustedLease {
-                partition,
-                worker,
-                attempts: self.attempts[partition],
-                reason: reason.to_string(),
-            });
-        } else {
-            self.pending.push_front(partition);
-        }
+        self.charge(partition, worker, reason.to_string());
     }
 
     /// Requeues every partition `worker` holds — the worker died (EOF
@@ -789,29 +824,37 @@ impl LeaseBoard {
     /// politely (a poison partition that *crashes* builders must not
     /// re-lease forever).
     pub fn release_worker(&mut self, worker: usize, why: &str) {
-        let mut held: Vec<usize> = Vec::new();
+        for p in self.take_leases(worker) {
+            self.charge(p, worker, format!("worker {worker} {why}"));
+        }
+    }
+
+    /// Removes and returns every partition `worker` holds.
+    fn take_leases(&mut self, worker: usize) -> Vec<usize> {
+        let mut held = Vec::new();
         self.leased.retain(|&(p, w)| {
             if w == worker {
                 held.push(p);
-                false
-            } else {
-                true
             }
+            w != worker
         });
-        for p in held {
-            let reason = format!("worker {worker} {why}");
-            self.last_reason[p] = reason.clone();
-            if self.attempts[p] >= self.max_attempts {
-                self.exhausted.push(ExhaustedLease {
-                    partition: p,
-                    worker,
-                    attempts: self.attempts[p],
-                    reason,
-                });
-            } else {
-                self.pending.push_front(p);
-            }
+        held
+    }
+
+    /// Settles an unleased partition whose attempt stays spent: back to
+    /// the front of the queue while attempts remain, exhausted at the cap.
+    fn charge(&mut self, partition: usize, worker: usize, reason: String) {
+        if self.attempts[partition] >= self.max_attempts {
+            self.exhausted.push(ExhaustedLease {
+                partition,
+                worker,
+                attempts: self.attempts[partition],
+                reason: reason.clone(),
+            });
+        } else {
+            self.pending.push_front(partition);
         }
+        self.last_reason[partition] = reason;
     }
 
     /// Partitions not yet built or exhausted (pending + leased). Zero
@@ -848,15 +891,20 @@ mod tests {
         // Flip a payload byte: checksum must catch it.
         let mut bent = buf.clone();
         bent[8] ^= 0x01;
-        let err = read_frame(&mut &bent[..]).unwrap_err();
+        let mut r = &bent[..];
+        let err = read_frame(&mut r).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("checksum"), "{err}");
+        assert!(err.to_string().starts_with("wire frame checksum mismatch"), "{err}");
+        assert!(is_checksum_mismatch(&err), "a link fault, told apart by type");
+        // The damaged frame was read whole: the stream is still in step.
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"claim 3");
 
         // Truncate mid-frame: torn, not clean EOF.
         let mut r = &buf[..buf.len() - 3];
         assert!(read_frame(&mut r).unwrap().is_some());
         let err = read_frame(&mut r).unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
+        assert!(!is_checksum_mismatch(&err));
     }
 
     #[test]
@@ -1121,12 +1169,12 @@ mod tests {
         board.release_worker(0, "disconnected holding the lease");
         assert_eq!(board.claim(0), Some(0));
         assert_eq!(board.claim(1), Some(1));
-        board.reclaim(0);
+        board.reclaim(0, "lost its report");
         assert_eq!(board.remaining(), 2, "nothing exhausted or lost");
         // The partition restarts first, on its refunded attempt; worker
         // 1's lease is untouched, also by a worker holding nothing.
         assert_eq!(board.claim(0), Some(0));
-        board.reclaim(2);
+        board.reclaim(2, "lost its report");
         assert_eq!(board.claim(2), None, "worker 1 still holds partition 1");
         board.complete(0);
         board.complete(1);
@@ -1141,11 +1189,38 @@ mod tests {
         assert_eq!(board.claim(0), Some(0));
         board.release_worker(0, "disconnected holding the lease");
         assert_eq!(board.claim(0), Some(0));
-        board.reclaim(0);
+        board.reclaim(0, "lost its report");
         assert_eq!(board.claim(0), Some(0));
         board.release_worker(0, "disconnected holding the lease");
         assert_eq!(board.exhausted().len(), 1);
         assert_eq!(board.exhausted()[0].attempts, 2);
+    }
+
+    #[test]
+    fn link_fault_refunds_are_capped_per_partition() {
+        // A link that garbles every lease of partition 0: each loss is
+        // refunded until the cap, then charged like a failure, so the
+        // partition still exhausts instead of re-leasing forever.
+        let mut board = LeaseBoard::new(vec![0, 1], 2, 2);
+        for _ in 0..MAX_LINK_REFUNDS {
+            assert_eq!(board.claim(5), Some(0));
+            board.reclaim(5, "sent a frame with a bad checksum");
+        }
+        assert!(board.exhausted().is_empty(), "refunded losses are free");
+        assert_eq!(board.claim(5), Some(0));
+        board.reclaim(5, "sent a frame with a bad checksum");
+        assert_eq!(board.claim(5), Some(0), "the first charge leaves one attempt");
+        board.reclaim(5, "sent a frame with a bad checksum");
+        assert_eq!(board.exhausted().len(), 1);
+        let ex = &board.exhausted()[0];
+        assert_eq!((ex.partition, ex.worker, ex.attempts), (0, 5, 2));
+        assert_eq!(ex.reason, "worker 5 sent a frame with a bad checksum");
+        // The cap is per partition: partition 1 still gets its refunds.
+        assert_eq!(board.claim(6), Some(1));
+        board.reclaim(6, "lost its report");
+        assert_eq!(board.claim(6), Some(1));
+        board.complete(1);
+        assert_eq!(board.remaining(), 0);
     }
 
     #[test]
